@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import CoMatrix, corel, topk_neighbors
 from .oracle import BlackBox
-from .recmodel import RecommenderParams, ce_loss_and_grads, forward_scores
+from .recmodel import RecommenderParams, ce_last_row_grad, forward_scores
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -86,7 +86,7 @@ def grad_alignment(
     """
     if len(z) == 0 or int(z[-1]) != int(target):
         raise ValueError("sequence must end with the target placeholder")
-    _, _, _, gpos = ce_loss_and_grads(surrogate, z, target)
+    gpos = ce_last_row_grad(surrogate, z, target)
     probe = surrogate.emb[target] - epsilon * np.sign(gpos)
     pnorm = np.linalg.norm(probe)
     enorm = np.linalg.norm(surrogate.emb, axis=1)
@@ -242,9 +242,12 @@ def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
             continue
         try:
             user, items = line.split("\t")
-            rows.append((user, [int(t) for t in items.split()]))
+            seq = [int(t) for t in items.split()]
         except ValueError:
             raise ValueError(f"{path}: malformed polluted record on line {lineno}") from None
+        if min(seq, default=0) < 0:
+            raise ValueError(f"{path}: negative item id on line {lineno}")
+        rows.append((user, seq))
     return rows
 
 

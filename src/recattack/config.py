@@ -34,7 +34,6 @@ class ModelConfig:
 class OracleConfig:
     k: int = 100
     budget: int | None = None  # None -> 20 * count * maxlen
-    log: bool = True
 
 
 @dataclass
@@ -159,7 +158,6 @@ SCHEMA: dict[str, tuple[tuple[str, ...], object]] = {
     "victim.train.seed": (("victim_train", "seed"), int),
     "oracle.k": (("oracle", "k"), int),
     "oracle.budget": (("oracle", "budget"), _opt_int),
-    "oracle.log": (("oracle", "log"), _parse_bool),
     "synth.policy": (("synth", "policy"), str),
     "synth.alpha": (("synth", "alpha"), float),
     "synth.tau": (("synth", "tau"), float),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import QuerySet
-from .recmodel import RecommenderParams, TrainConfig, adam_step, TrainingDiverged
+from .recmodel import PrefixPool, RecommenderParams, TrainConfig, TrainingDiverged, adam_step
 
 log = logging.getLogger(__name__)
 
@@ -214,6 +214,30 @@ def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray
     return np.take_along_axis(allowed, draws, axis=1).reshape(b, m, k)
 
 
+def _distill_step(cfg, params: RecommenderParams, pool: np.ndarray, r_idx, n_idx, p_b):
+    """Mean distillation loss of one pooled batch and its (d_emb, d_bias).
+
+    `pool` is the batch's PrefixPool.matrix, r_idx (B, k) the ranked items
+    and n_idx (B, m, k) the sampled negatives. The score gradients of both
+    are summed into one dense (B, V) matrix G, so d_bias = G.sum(0), and
+    d_emb = G.T @ hidden (the scored items) + pool.T @ (G @ E) (the prefixes).
+    """
+    b, v = pool.shape
+    hidden = pool @ params.emb
+    scores = hidden @ params.emb.T + params.bias
+    s = np.take_along_axis(scores, r_idx, axis=1)
+    s_neg = np.take_along_axis(scores, n_idx.reshape(b, -1), axis=1).reshape(n_idx.shape)
+    loss, gs, gn = _batch_losses_and_grads(cfg, s, s_neg, p_b)
+
+    offset = np.arange(b)[:, None] * v
+    cells = np.concatenate(((r_idx + offset).ravel(), (n_idx.reshape(b, -1) + offset).ravel()))
+    g = np.bincount(
+        cells, weights=np.concatenate((gs.ravel(), gn.ravel())), minlength=b * v
+    ).reshape(b, v)
+    d_emb = g.T @ hidden + pool.T @ (g @ params.emb)
+    return loss, d_emb, g.sum(axis=0)
+
+
 def distill_train(
     queries: QuerySet, cfg: DistillConfig, init: RecommenderParams
 ) -> RecommenderParams:
@@ -234,12 +258,10 @@ def distill_train(
         return out
     v = out.num_items
     p_b = cognitive_distribution(klen, cfg.alpha, cfg.tau_b)
-    prefixes = [p for p, _ in queries.pairs]
+    pool = PrefixPool.of([p for p, _ in queries.pairs], v, out.gamma)
     ranked = np.asarray([r for _, r in queries.pairs], dtype=np.int64)
-    if ranked.max() >= v:
+    if ranked.min() < 0 or ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
-
-    from .recmodel import _pad_batch  # shared padding helper
 
     rng = np.random.default_rng(cfg.train.seed)
     tc = cfg.train
@@ -248,55 +270,23 @@ def distill_train(
     m_bias = np.zeros_like(out.bias)
     v_bias = np.zeros_like(out.bias)
     step = 0
-    n = len(prefixes)
+    n = len(queries)
     for epoch in range(tc.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, tc.batch_size):
             sel = order[start : start + tc.batch_size]
-            idx, wts = _pad_batch([prefixes[i] for i in sel], out.gamma)
             r_idx = ranked[sel]
             n_idx = _sample_negatives(rng, r_idx, v, cfg.negatives_per_position)
-            bsz = len(sel)
-
-            hidden = np.einsum("bt,btd->bd", wts, out.emb[idx])
-            e_rank = out.emb[r_idx]  # (B, k, d)
-            e_neg = out.emb[n_idx]  # (B, m, k, d)
-            s = np.einsum("bd,bkd->bk", hidden, e_rank) + out.bias[r_idx]
-            s_neg = np.einsum("bd,bmkd->bmk", hidden, e_neg) + out.bias[n_idx]
-
-            loss, gs, gn = _batch_losses_and_grads(cfg, s, s_neg, p_b)
+            loss, d_emb, d_bias = _distill_step(cfg, out, pool.matrix(sel), r_idx, n_idx, p_b)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite distillation loss at epoch {epoch}, step {step}"
                 )
 
-            d_emb = np.zeros_like(out.emb)
-            d_bias = np.zeros_like(out.bias)
-            np.add.at(d_bias, r_idx, gs)
-            np.add.at(d_bias, n_idx, gn)
-            np.add.at(
-                d_emb,
-                r_idx.ravel(),
-                (gs[:, :, None] * hidden[:, None, :]).reshape(-1, out.dim),
-            )
-            np.add.at(
-                d_emb,
-                n_idx.ravel(),
-                (gn[..., None] * hidden[:, None, None, :]).reshape(-1, out.dim),
-            )
-            d_hidden = np.einsum("bk,bkd->bd", gs, e_rank) + np.einsum(
-                "bmk,bmkd->bd", gn, e_neg
-            )
-            np.add.at(
-                d_emb,
-                idx.ravel(),
-                (wts[:, :, None] * d_hidden[:, None, :]).reshape(-1, out.dim),
-            )
-
             step += 1
             adam_step(out.emb, d_emb, m_emb, v_emb, step, tc)
             adam_step(out.bias, d_bias, m_bias, v_bias, step, tc)
-            epoch_loss += loss * bsz
+            epoch_loss += loss * len(sel)
         log.debug("distill epoch %d mean loss %.4f", epoch, epoch_loss / n)
     return out

@@ -125,18 +125,6 @@ def report_bytes_without_timing(path) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
-def load_report(path) -> ExperimentReport:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ExperimentReport(
-        stages=data.get("stages", {}),
-        budget=data.get("budget", {}),
-        config=data.get("config", {}),
-        config_hash=data.get("config_hash", ""),
-        timing=data.get("timing", {}),
-        arm=data.get("arm"),
-    )
-
-
 class _Context:
     """Mutable carrier of in-memory stage products within one invocation."""
 
@@ -148,7 +136,6 @@ class _Context:
         self.blackbox: BlackBox | None = None
         self.queries = None
         self.surrogate = None
-        self.untrained_surrogate = None
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -210,7 +197,8 @@ def _ensure_blackbox(cfg, ctx: _Context) -> BlackBox:
             _ensure_victim(cfg, ctx),
             k=cfg.oracle.k,
             budget=cfg.resolved_budget(),
-            log_queries=cfg.oracle.log,
+            # generate_sequences keeps every pair it needs
+            log_queries=False,
         )
     return ctx.blackbox
 
@@ -314,7 +302,6 @@ def _stage_distill(cfg, ctx: _Context) -> dict:
     init = init_params(
         corpus.num_items, cfg.surrogate.dim, cfg.surrogate.gamma, cfg.surrogate.init_seed
     )
-    ctx.untrained_surrogate = init
     surrogate = distill_train(queries, cfg.distill, init)
     ctx.surrogate = surrogate
     save_params(surrogate, _out(cfg) / ARTIFACTS["surrogate"])

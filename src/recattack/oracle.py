@@ -59,6 +59,8 @@ def load_queryset(path) -> QuerySet:
             ranked = tuple(int(t) for t in right.split())
         except ValueError:
             raise ValueError(f"{path}: malformed query record on line {lineno}") from None
+        if min(prefix, default=0) < 0 or min(ranked, default=0) < 0:
+            raise ValueError(f"{path}: negative item id on line {lineno}")
         pairs.append((prefix, ranked))
     return QuerySet(pairs=pairs, truncated=truncated)
 

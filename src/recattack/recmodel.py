@@ -10,6 +10,7 @@ victim/surrogate and as a differentiable building block for attacks.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, replace
 
@@ -123,17 +124,55 @@ def forward_scores(params: RecommenderParams, x) -> np.ndarray:
     return score_all(params, encode(params, embed(params, x)))
 
 
-def _pad_batch(prefixes, gamma: float):
-    """Left-aligned index/weight matrices; padded slots get weight 0."""
-    n = len(prefixes)
-    maxlen = max(len(p) for p in prefixes)
-    idx = np.zeros((n, maxlen), dtype=np.int64)
-    wts = np.zeros((n, maxlen), dtype=np.float64)
-    for r, seq in enumerate(prefixes):
-        t = len(seq)
-        idx[r, :t] = seq
-        wts[r, :t] = position_weights(gamma, t)
-    return idx, wts
+def _ragged(seqs):
+    """(items, starts, lengths) of sequences concatenated back to back."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    items = np.fromiter(
+        itertools.chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum())
+    )
+    return items, np.cumsum(lengths) - lengths, lengths
+
+
+class PrefixPool:
+    """Prefixes in a flat ragged layout, pooled onto the catalog a batch at a time.
+
+    Prefix r is items[starts[r] : starts[r] + lengths[r]]; prefixes may share
+    storage, as every training prefix of a sequence is a slice of it. Row b of
+    matrix(rows) holds the recency weights of prefix rows[b] summed per item,
+    so matrix(rows) @ E is the batch of encoder outputs and
+    matrix(rows).T @ d_hidden the gradient that reaches the embedding table.
+    """
+
+    def __init__(self, items, starts, lengths, num_items: int, gamma: float):
+        self.items = np.asarray(items, dtype=np.int64)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.num_items = int(num_items)
+        if self.lengths.size and self.lengths.min() < 1:
+            raise ValueError("prefixes must be non-empty")
+        if self.items.size and (self.items.min() < 0 or self.items.max() >= num_items):
+            raise ValueError(f"item id outside [0, {num_items})")
+        # decay[j] = gamma^j; norms[T] = decay[0] + ... + decay[T-1], so the
+        # weight of position t in a prefix of length T is decay[T-t] / norms[T]
+        self._decay = gamma ** np.arange(int(self.lengths.max(initial=0)), dtype=np.float64)
+        self._norms = np.concatenate(([0.0], np.cumsum(self._decay)))
+
+    @classmethod
+    def of(cls, prefixes, num_items: int, gamma: float) -> "PrefixPool":
+        """Pool over a list of separate prefixes, laid out back to back."""
+        return cls(*_ragged(prefixes), num_items, gamma)
+
+    def matrix(self, rows) -> np.ndarray:
+        """Dense (len(rows), V) pooling matrix of the selected prefixes."""
+        lens = self.lengths[rows]
+        b, v = lens.size, self.num_items
+        ends = np.cumsum(lens)
+        row = np.repeat(np.arange(b), lens)
+        back = np.repeat(ends - 1, lens) - np.arange(ends[-1])  # steps before the last
+        pos = np.repeat(self.starts[rows] + lens - 1, lens) - back
+        weights = self._decay[back] / self._norms[lens][row]
+        flat = np.bincount(row * v + self.items[pos], weights=weights, minlength=b * v)
+        return flat.reshape(b, v)
 
 
 def _softmax_rows(scores: np.ndarray):
@@ -144,14 +183,14 @@ def _softmax_rows(scores: np.ndarray):
     return probs, logz
 
 
-def _ce_batch(params: RecommenderParams, idx, wts, targets):
-    """Mean CE loss over a padded batch plus gradients (dE, db, dH).
+def _ce_batch(params: RecommenderParams, pool: np.ndarray, targets):
+    """Mean CE loss over a pooled batch plus gradients (dE, db, dH).
 
-    dH is the per-row gradient of the mean loss w.r.t. the pooled hidden
-    state, needed to push gradients back into the encoder input.
+    `pool` is a PrefixPool.matrix. dH is the per-row gradient of the mean
+    loss w.r.t. the pooled hidden state.
     """
-    n = idx.shape[0]
-    hidden = np.einsum("bt,btd->bd", wts, params.emb[idx])
+    n = pool.shape[0]
+    hidden = pool @ params.emb
     scores = hidden @ params.emb.T + params.bias
     probs, logz = _softmax_rows(scores)
     rows = np.arange(n)
@@ -161,13 +200,8 @@ def _ce_batch(params: RecommenderParams, idx, wts, targets):
     gs[rows, targets] -= 1.0
     gs /= n
     d_bias = gs.sum(axis=0)
-    d_emb = gs.T @ hidden
     d_hidden = gs @ params.emb
-    np.add.at(
-        d_emb,
-        idx.ravel(),
-        (wts[:, :, None] * d_hidden[:, None, :]).reshape(-1, params.dim),
-    )
+    d_emb = gs.T @ hidden + pool.T @ d_hidden
     return loss, d_emb, d_bias, d_hidden
 
 
@@ -181,12 +215,25 @@ def ce_loss_and_grads(params: RecommenderParams, x, target: int):
     """
     if not (0 <= target < params.num_items):
         raise ValueError("target out of range")
-    idx, wts = _pad_batch([list(x)], params.gamma)
+    x = list(x)
+    pool = PrefixPool.of([x], params.num_items, params.gamma)
     loss, d_emb, d_bias, d_hidden = _ce_batch(
-        params, idx, wts, np.asarray([target], dtype=np.int64)
+        params, pool.matrix([0]), np.asarray([target], dtype=np.int64)
     )
-    gpos = wts[0, len(x) - 1] * d_hidden[0]
+    gpos = position_weights(params.gamma, len(x))[-1] * d_hidden[0]
     return loss, d_emb, d_bias, gpos
+
+
+def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
+    """The gpos of ce_loss_and_grads alone, without the V x d table gradient."""
+    if not (0 <= target < params.num_items):
+        raise ValueError("target out of range")
+    rows = embed(params, x)
+    scores = score_all(params, encode(params, rows))
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+    probs[target] -= 1.0
+    return position_weights(params.gamma, rows.shape[0])[-1] * (probs @ params.emb)
 
 
 def adam_step(value, grad, m, v, step, cfg: TrainConfig) -> None:
@@ -208,14 +255,17 @@ def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> Re
     Returns a new parameter set; the input is left untouched. Deterministic
     for a fixed seed. Raises TrainingDiverged on a non-finite batch loss.
     """
-    pairs = [
-        (seq[:j], seq[j])
-        for seq in data.train
-        if len(seq) >= 2
-        for j in range(1, len(seq))
-    ]
-    if not pairs:
+    seqs = [seq for seq in data.train if len(seq) >= 2]
+    if not seqs:
         raise ValueError("training split yields no (prefix, target) pairs")
+    # pair i predicts items[starts[i] + lengths[i]] from the lengths[i] items
+    # before it: every proper prefix of each sequence, in sequence order
+    items, seq_starts, seq_lens = _ragged(seqs)
+    starts = np.repeat(seq_starts, seq_lens - 1)
+    lengths = np.concatenate([np.arange(1, n) for n in seq_lens])
+    n_pairs = lengths.size
+    pool = PrefixPool(items, starts, lengths, params.num_items, params.gamma)
+    targets = items[starts + lengths]
     out = params.copy()
     if cfg.epochs == 0:
         return out
@@ -226,13 +276,11 @@ def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> Re
     v_bias = np.zeros_like(out.bias)
     step = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(n_pairs)
         epoch_loss = 0.0
-        for start in range(0, len(pairs), cfg.batch_size):
-            batch = [pairs[i] for i in order[start : start + cfg.batch_size]]
-            idx, wts = _pad_batch([p for p, _ in batch], out.gamma)
-            targets = np.asarray([t for _, t in batch], dtype=np.int64)
-            loss, d_emb, d_bias, _ = _ce_batch(out, idx, wts, targets)
+        for start in range(0, n_pairs, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            loss, d_emb, d_bias, _ = _ce_batch(out, pool.matrix(sel), targets[sel])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite CE loss at epoch {epoch}, step {step}: {loss}"
@@ -240,8 +288,8 @@ def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> Re
             step += 1
             adam_step(out.emb, d_emb, m_emb, v_emb, step, cfg)
             adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg)
-            epoch_loss += loss * len(batch)
-        log.debug("epoch %d mean CE %.4f", epoch, epoch_loss / len(pairs))
+            epoch_loss += loss * len(sel)
+        log.debug("epoch %d mean CE %.4f", epoch, epoch_loss / n_pairs)
     return out
 
 

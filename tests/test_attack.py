@@ -312,3 +312,6 @@ def test_polluted_sequences_roundtrip(tmp_path):
     path.write_text("u1\t1 2\nbroken-line\n")
     with pytest.raises(ValueError, match="line 2"):
         load_polluted_sequences(path)
+    path.write_text("u1\t1 2\nu2\t3 -1 4\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_polluted_sequences(path)

@@ -5,6 +5,8 @@ import pytest
 
 from recattack.distill import (
     DistillConfig,
+    _distill_step,
+    _sample_negatives,
     cognitive_distribution,
     cognitive_prior,
     distill_loss,
@@ -14,8 +16,14 @@ from recattack.distill import (
     rank_equivalence_check,
     surrogate_distribution,
 )
-from recattack.oracle import BlackBox
-from recattack.recmodel import RecommenderParams, TrainConfig, init_params
+from recattack.oracle import BlackBox, QuerySet
+from recattack.recmodel import (
+    PrefixPool,
+    RecommenderParams,
+    TrainConfig,
+    forward_scores,
+    init_params,
+)
 from recattack.synthgen import SamplerPolicy, generate_sequences
 
 FD_STEP = 1e-5
@@ -355,6 +363,55 @@ def test_batch_path_matches_op_level_loss():
         assert np.allclose(gs[r] * b, row_gs)
         assert np.allclose(gn[r] * b, row_gn)
     assert loss == pytest.approx(np.mean(per_row))
+
+
+def test_distill_step_grads_match_finite_differences():
+    rng = np.random.default_rng(9)
+    v, d, k = 14, 3, 4
+    p = RecommenderParams(
+        emb=rng.uniform(-0.5, 0.5, size=(v, d)),
+        bias=rng.uniform(-0.2, 0.2, size=v),
+        gamma=0.6,
+    )
+    prefixes = [[2], [5, 1, 5], [0, 13, 7, 7, 3]]
+    r_idx = np.stack([rng.permutation(v)[:k] for _ in prefixes])
+    n_idx = _sample_negatives(rng, r_idx, v, 2)
+    cfg = DistillConfig(lam=0.4, tau_w=0.9, delta1=0.3, delta2=0.6)
+    p_b = cognitive_distribution(k, 0.9, 0.5)
+    pooled = PrefixPool.of(prefixes, v, p.gamma).matrix(np.arange(len(prefixes)))
+
+    def mean_loss(q):
+        # independent of the batch path: per-prefix forward pass and distill_loss
+        total = 0.0
+        for x, r, n in zip(prefixes, r_idx, n_idx):
+            s = forward_scores(q, x)
+            total += distill_loss(cfg, s[r], s[n], p_b)[0]
+        return total / len(prefixes)
+
+    loss, d_emb, d_bias = _distill_step(cfg, p, pooled, r_idx, n_idx, p_b)
+    assert loss == pytest.approx(mean_loss(p), rel=1e-12)
+    for i in range(v):
+        for c in range(d):
+            pp = p.copy()
+            pp.emb[i, c] += FD_STEP
+            up = mean_loss(pp)
+            pp.emb[i, c] -= 2 * FD_STEP
+            fd = (up - mean_loss(pp)) / (2 * FD_STEP)
+            assert abs(fd - d_emb[i, c]) <= REL_TOL * max(abs(d_emb[i, c]), 1e-4)
+        pp = p.copy()
+        pp.bias[i] += FD_STEP
+        up = mean_loss(pp)
+        pp.bias[i] -= 2 * FD_STEP
+        fd = (up - mean_loss(pp)) / (2 * FD_STEP)
+        assert abs(fd - d_bias[i]) <= REL_TOL * max(abs(d_bias[i]), 1e-4)
+
+
+@pytest.mark.parametrize("prefix, ranked", [((3, -1), (0, 1, 2)), ((3, 20), (0, 1, 2)),
+                                            ((3,), (0, -1, 2))])
+def test_distill_train_rejects_ids_outside_vocabulary(prefix, ranked):
+    qs = QuerySet(pairs=[((1, 2), (0, 1, 2)), (prefix, ranked)])
+    with pytest.raises(ValueError):
+        distill_train(qs, DistillConfig(train=TrainConfig(epochs=1)), init_params(20, 4))
 
 
 def test_distill_train_needs_negative_headroom():

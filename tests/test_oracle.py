@@ -85,6 +85,13 @@ def test_queryset_save_load_roundtrip(tmp_path):
     assert back.truncated
 
 
+def test_load_queryset_rejects_negative_id(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("1 2\t0 1 2\n3 -1\t0 1 2 3 4 5 6 7 8 9\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_queryset(path)
+
+
 def test_export_log_format(tmp_path):
     bb = BlackBox(victim(), k=3)
     bb.query([2, 5])

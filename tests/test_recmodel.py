@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recattack.corpus import InteractionCorpus, leave_one_out_split
 from recattack.recmodel import (
+    PrefixPool,
     RecommenderParams,
     TrainConfig,
+    _ce_batch,
+    ce_last_row_grad,
     ce_loss_and_grads,
     embed,
     encode,
@@ -205,6 +209,55 @@ def test_ce_grads_match_finite_differences():
                 2 * FD_STEP
             )
             assert rel_err(fd, gpos[c]) < REL_TOL
+        assert np.allclose(ce_last_row_grad(p, x, target), gpos, rtol=0, atol=1e-12)
+
+
+def test_ce_batch_grads_match_finite_differences_on_ragged_batch():
+    rng = np.random.default_rng(8)
+    p = rand_params(rng, v=12, d=3, gamma=0.7)
+    # ragged lengths, and item 4 repeats within the second prefix
+    prefixes = [[3], [4, 7, 4, 1], [0, 11], [5, 6, 2, 9, 8]]
+    targets = np.array([4, 2, 11, 3])
+    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(np.arange(len(prefixes)))
+
+    def mean_loss(q):
+        return np.mean([ce_loss_value(q, x, t) for x, t in zip(prefixes, targets)])
+
+    loss, d_emb, d_bias, _ = _ce_batch(p, pooled, targets)
+    assert loss == pytest.approx(mean_loss(p), rel=1e-12)
+    for i in range(p.num_items):
+        for c in range(p.dim):
+            pp = p.copy()
+            pp.emb[i, c] += FD_STEP
+            up = mean_loss(pp)
+            pp.emb[i, c] -= 2 * FD_STEP
+            assert rel_err((up - mean_loss(pp)) / (2 * FD_STEP), d_emb[i, c]) < REL_TOL
+        pp = p.copy()
+        pp.bias[i] += FD_STEP
+        up = mean_loss(pp)
+        pp.bias[i] -= 2 * FD_STEP
+        assert rel_err((up - mean_loss(pp)) / (2 * FD_STEP), d_bias[i]) < REL_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(0.05, 1.0),
+    prefixes=st.lists(
+        st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=6
+    ),
+)
+def test_pooled_rows_equal_encoder(gamma, prefixes):
+    p = rand_params(np.random.default_rng(0), v=10, d=4, gamma=gamma)
+    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(np.arange(len(prefixes)))
+    hidden = pooled @ p.emb
+    for row, x in zip(hidden, prefixes):
+        assert np.allclose(row, encode(p, embed(p, x)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[-1], [10], [2, -3, 4], []])
+def test_prefix_pool_rejects_ids_outside_catalog(bad):
+    with pytest.raises(ValueError):
+        PrefixPool.of([[1, 2], bad], num_items=10, gamma=0.8)
 
 
 # ------------------------------------------------------------------- training
