@@ -48,7 +48,6 @@ from .evalkit import (
     ndcg_at_k,
     plausibility_score,
     recall_at_k,
-    target_exposure,
 )
 from .harness import ExperimentReport, run_ablation, run_alpha_sweep, run_pipeline
 from .oracle import BlackBox, BudgetExhausted, QuerySet, load_queryset, save_queryset

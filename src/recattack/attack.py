@@ -12,7 +12,7 @@ the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -282,16 +282,6 @@ def attack_user(
     if result.hit or not refine:
         return z, result, False, info
     w_g = min(1.0, cfg.w_g + 0.2)
-    retry_cfg = AttackConfig(
-        target=cfg.target,
-        total_length=cfg.total_length,
-        epsilon=cfg.epsilon,
-        n_candidates=cfg.n_candidates,
-        neighbor_k=cfg.neighbor_k,
-        w_g=w_g,
-        w_s=1.0 - w_g,
-        corel_kind=cfg.corel_kind,
-        seed=cfg.seed,
-    )
+    retry_cfg = replace(cfg, w_g=w_g, w_s=1.0 - w_g)
     z2, info2 = pollute_detailed(surrogate, m, x, retry_cfg)
     return z2, validate(bb, z2, cfg.target, k), True, info2

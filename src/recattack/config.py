@@ -10,8 +10,9 @@ the whole run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .distill import DistillConfig
 from .errors import ConfigError
@@ -127,85 +128,44 @@ def _opt_int(text: str):
     return None if text.strip().lower() in ("", "none", "auto") else int(text)
 
 
-# dotted key -> (attribute path, parser)
-SCHEMA: dict[str, tuple[tuple[str, ...], object]] = {
-    "seed": (("seed",), int),
-    "out_dir": (("out_dir",), str),
-    "stages": (("stages",), _parse_stages),
-    "corpus.path": (("corpus_path",), str),
-    "corpus.format": (("corpus_format",), str),
-    "corpus.synthetic.num_items": (("synthetic", "num_items"), int),
-    "corpus.synthetic.num_users": (("synthetic", "num_users"), int),
-    "corpus.synthetic.num_groups": (("synthetic", "num_groups"), int),
-    "corpus.synthetic.p_stay": (("synthetic", "p_stay"), float),
-    "corpus.synthetic.min_len": (("synthetic", "min_len"), int),
-    "corpus.synthetic.max_len": (("synthetic", "max_len"), int),
-    "corpus.synthetic.continue_prob": (("synthetic", "continue_prob"), float),
-    "corpus.synthetic.popularity_skew": (("synthetic", "popularity_skew"), float),
-    "corpus.synthetic.locality": (("synthetic", "locality"), float),
-    "corpus.synthetic.seed": (("synthetic", "seed"), int),
-    "comatrix.window": (("comatrix_window",), int),
-    "victim.dim": (("victim", "dim"), int),
-    "victim.gamma": (("victim", "gamma"), float),
-    "victim.init_seed": (("victim", "init_seed"), int),
-    "victim.train.learning_rate": (("victim_train", "learning_rate"), float),
-    "victim.train.weight_decay": (("victim_train", "weight_decay"), float),
-    "victim.train.batch_size": (("victim_train", "batch_size"), int),
-    "victim.train.epochs": (("victim_train", "epochs"), int),
-    "victim.train.beta1": (("victim_train", "beta1"), float),
-    "victim.train.beta2": (("victim_train", "beta2"), float),
-    "victim.train.eps": (("victim_train", "eps"), float),
-    "victim.train.seed": (("victim_train", "seed"), int),
-    "oracle.k": (("oracle", "k"), int),
-    "oracle.budget": (("oracle", "budget"), _opt_int),
-    "synth.policy": (("synth", "policy"), str),
-    "synth.alpha": (("synth", "alpha"), float),
-    "synth.tau": (("synth", "tau"), float),
-    "synth.count": (("synth", "count"), int),
-    "synth.maxlen": (("synth", "maxlen"), int),
-    "synth.seed": (("synth", "seed"), int),
-    "surrogate.dim": (("surrogate", "dim"), int),
-    "surrogate.gamma": (("surrogate", "gamma"), float),
-    "surrogate.init_seed": (("surrogate", "init_seed"), int),
-    "distill.alpha": (("distill", "alpha"), float),
-    "distill.tau_b": (("distill", "tau_b"), float),
-    "distill.tau_w": (("distill", "tau_w"), float),
-    "distill.lam": (("distill", "lam"), float),
-    "distill.delta1": (("distill", "delta1"), float),
-    "distill.delta2": (("distill", "delta2"), float),
-    "distill.negatives_per_position": (("distill", "negatives_per_position"), int),
-    "distill.train.learning_rate": (("distill", "train", "learning_rate"), float),
-    "distill.train.weight_decay": (("distill", "train", "weight_decay"), float),
-    "distill.train.batch_size": (("distill", "train", "batch_size"), int),
-    "distill.train.epochs": (("distill", "train", "epochs"), int),
-    "distill.train.beta1": (("distill", "train", "beta1"), float),
-    "distill.train.beta2": (("distill", "train", "beta2"), float),
-    "distill.train.eps": (("distill", "train", "eps"), float),
-    "distill.train.seed": (("distill", "train", "seed"), int),
-    "attack.num_users": (("attack", "num_users"), int),
-    "attack.num_targets": (("attack", "num_targets"), int),
-    "attack.length_factor": (("attack", "length_factor"), float),
-    "attack.eval_k": (("attack", "eval_k"), int),
-    "attack.epsilon": (("attack", "epsilon"), float),
-    "attack.n_candidates": (("attack", "n_candidates"), int),
-    "attack.neighbor_k": (("attack", "neighbor_k"), int),
-    "attack.w_g": (("attack", "w_g"), float),
-    "attack.w_s": (("attack", "w_s"), float),
-    "attack.corel_kind": (("attack", "corel_kind"), str),
-    "attack.refine": (("attack", "refine"), _parse_bool),
-    "attack.seed": (("attack", "seed"), int),
-    "eval.ks": (("eval_ks",), _parse_int_list),
+# top-level attributes whose dotted key differs from their name; every other
+# key is the attribute path joined with "."
+_ALIASES = {
+    "corpus_path": "corpus.path",
+    "corpus_format": "corpus.format",
+    "synthetic": "corpus.synthetic",
+    "comatrix_window": "comatrix.window",
+    "victim_train": "victim.train",
+    "eval_ks": "eval.ks",
 }
 
-# stage seeds derived from the global seed unless explicitly configured
-_DERIVED_SEEDS = {
-    "corpus.synthetic.seed": ("synthetic", "seed"),
-    "victim.init_seed": ("victim", "init_seed"),
-    "victim.train.seed": ("victim_train", "seed"),
-    "synth.seed": ("synth", "seed"),
-    "surrogate.init_seed": ("surrogate", "init_seed"),
-    "distill.train.seed": ("distill", "train", "seed"),
-    "attack.seed": ("attack", "seed"),
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    int | None: _opt_int,
+    tuple[int, ...]: _parse_int_list,
+    tuple[str, ...]: _parse_stages,
+}
+
+
+def _dotted(path: tuple[str, ...]) -> str:
+    return ".".join((_ALIASES.get(path[0], path[0]), *path[1:]))
+
+
+def _leaves(cls, prefix: tuple[str, ...] = ()):
+    """(attribute path, field type) of every non-dataclass field, depth first."""
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            yield from _leaves(hint, prefix + (name,))
+        else:
+            yield prefix + (name,), hint
+
+
+# dotted key -> (attribute path, parser)
+SCHEMA: dict[str, tuple[tuple[str, ...], object]] = {
+    _dotted(path): (path, _PARSERS[hint]) for path, hint in _leaves(ExperimentConfig)
 }
 
 
@@ -228,52 +188,46 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _set_path(cfg: ExperimentConfig, path: tuple[str, ...], value) -> None:
-    obj = cfg
-    for attr in path[:-1]:
-        obj = getattr(obj, attr)
-    setattr(obj, path[-1], value)
+def _rebuild(obj, prefix: tuple[str, ...], values: dict):
+    """Copy of `obj` with `values` applied, nested sections first, so every
+    section's own __post_init__ check runs on its final values."""
+    changes = {}
+    for f in fields(obj):
+        path = prefix + (f.name,)
+        if path in values:
+            changes[f.name] = values[path]
+        elif is_dataclass(getattr(obj, f.name)):
+            changes[f.name] = _rebuild(getattr(obj, f.name), path, values)
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{_dotted(prefix)}: {exc}") from None
 
 
 def build_config(flat: dict[str, str]) -> ExperimentConfig:
-    """Apply flat overrides to defaults, then derive unset stage seeds.
-
-    SyntheticSpec is frozen, so its overrides are collected and a new
-    instance is constructed in one go.
-    """
-    cfg = ExperimentConfig()
-    synth_spec = asdict(cfg.synthetic)
+    """Apply flat overrides to defaults, then derive unset stage seeds."""
+    values: dict[tuple[str, ...], object] = {}
     for key, raw in flat.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        path, cast = SCHEMA[key]
+        path, parse = SCHEMA[key]
         try:
-            value = cast(raw)
+            values[path] = parse(raw)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-        if path[0] == "synthetic":
-            synth_spec[path[1]] = value
-        else:
-            _set_path(cfg, path, value)
-    for key, path in _DERIVED_SEEDS.items():
-        if key in flat:
-            continue
-        value = derive_seed(cfg.seed, key)
-        if path[0] == "synthetic":
-            synth_spec[path[1]] = value
-        else:
-            _set_path(cfg, path, value)
-    try:
-        cfg.synthetic = SyntheticSpec(**synth_spec)
-    except ConfigError:
-        raise
+    seed = values.get(("seed",), ExperimentConfig.seed)
+    for key, (path, _) in SCHEMA.items():
+        if len(path) > 1 and path[-1].endswith("seed") and path not in values:
+            values[path] = derive_seed(seed, key)
     # keep fusion weights on the simplex when only one was given
-    if "attack.w_g" in flat and "attack.w_s" not in flat:
-        cfg.attack.w_s = 1.0 - cfg.attack.w_g
-    if "attack.w_s" in flat and "attack.w_g" not in flat:
-        cfg.attack.w_g = 1.0 - cfg.attack.w_s
+    w_g, w_s = ("attack", "w_g"), ("attack", "w_s")
+    if w_g in values and w_s not in values:
+        values[w_s] = 1.0 - values[w_g]
+    if w_s in values and w_g not in values:
+        values[w_g] = 1.0 - values[w_s]
+    cfg = _rebuild(ExperimentConfig(), (), values)
     if abs(cfg.attack.w_g + cfg.attack.w_s - 1.0) > 1e-9:
         raise ConfigError("attack.w_g + attack.w_s must equal 1")
     if cfg.corpus_format not in ("tsv_triples", "sequence_lines"):

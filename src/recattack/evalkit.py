@@ -9,18 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import CoMatrix, corel
-from .oracle import BlackBox
-from .recmodel import recommend_topk
-
-
-def ranked_topk(ranker, x, k: int) -> list[int]:
-    """Top-k list from either a BlackBox or a raw parameter set."""
-    if isinstance(ranker, BlackBox):
-        ranked = ranker.query(x)
-        if len(ranked) < k:
-            raise ValueError("black box returns fewer items than requested k")
-        return list(ranked[:k])
-    return recommend_topk(ranker, x, k)
 
 
 def recall_at_k(ranked, truth: int, k: int) -> float:
@@ -45,21 +33,6 @@ def agreement_at_k(list_b, list_w, k: int) -> float:
     if k > len(list_b) or k > len(list_w):
         raise ValueError("k exceeds a ranked list length")
     return len(set(list_b[:k]) & set(list_w[:k])) / k
-
-
-def target_exposure(ranker, sequences, target: int, k: int):
-    """(hit-rate@k, mean reciprocal rank) of the target across user sequences."""
-    seqs = list(sequences)
-    if not seqs:
-        raise ValueError("no sequences to evaluate")
-    hits = 0.0
-    rr = 0.0
-    for x in seqs:
-        top = ranked_topk(ranker, x, k)
-        if target in top:
-            hits += 1.0
-            rr += 1.0 / (top.index(target) + 1)
-    return hits / len(seqs), rr / len(seqs)
 
 
 def plausibility_score(z, m: CoMatrix, kind: str = "jaccard") -> float:

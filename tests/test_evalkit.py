@@ -11,10 +11,7 @@ from recattack.evalkit import (
     ndcg_at_k,
     plausibility_score,
     recall_at_k,
-    target_exposure,
 )
-from recattack.oracle import BlackBox, BudgetExhausted
-from recattack.recmodel import RecommenderParams
 
 
 def brute_recall(ranked, truth, k):
@@ -74,23 +71,6 @@ def test_metrics_match_brute_force_random():
         assert ndcg_at_k(ranked, truth, k) == brute_ndcg(ranked, truth, k)
         other = list(rng.permutation(v))
         assert agreement_at_k(ranked, other, k) == brute_agreement(ranked, other, k)
-
-
-def test_target_exposure_extremes():
-    emb = np.zeros((4, 2))
-    always = RecommenderParams(emb=emb, bias=np.array([0.0, 9.0, 1.0, 2.0]), gamma=0.8)
-    hit, mrr = target_exposure(always, [[0], [2], [3]], target=1, k=2)
-    assert (hit, mrr) == (1.0, 1.0)
-    hit, mrr = target_exposure(always, [[0], [2]], target=0, k=2)
-    assert (hit, mrr) == (0.0, 0.0)
-
-
-def test_target_exposure_through_oracle_budget_propagates():
-    emb = np.zeros((4, 2))
-    vic = RecommenderParams(emb=emb, bias=np.arange(4.0), gamma=0.8)
-    bb = BlackBox(vic, k=2, budget=1)
-    with pytest.raises(BudgetExhausted):
-        target_exposure(bb, [[0], [1]], target=3, k=2)
 
 
 def test_plausibility_extremes_and_mean():

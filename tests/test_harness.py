@@ -4,7 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from recattack.config import ExperimentConfig, build_config, load_config, parse_config_text
+from recattack.config import (
+    SCHEMA,
+    ExperimentConfig,
+    build_config,
+    load_config,
+    parse_config_text,
+)
 from recattack.corpus import build_comatrix, corel
 from recattack.errors import ConfigError, StageError
 from recattack.harness import (
@@ -120,6 +126,53 @@ def test_build_config_applies_and_validates():
         build_config({"not.a.key": "1"})
     with pytest.raises(ConfigError):
         build_config({"victim.dim": "banana"})
+    # each section's own range checks run at config time, under its dotted key
+    for key, value, section in [
+        ("distill.alpha", "1.0", "distill"),
+        ("victim.train.learning_rate", "-1", "victim.train"),
+        ("distill.train.batch_size", "0", "distill.train"),
+        ("distill.negatives_per_position", "0", "distill"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{section}: "):
+            build_config({key: value})
+
+
+def _as_text(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def test_schema_round_trips_every_default():
+    # setting any key to its default text (derived seeds included) changes nothing
+    default = build_config({})
+    assert len(SCHEMA) == 66
+    for key, (path, _) in SCHEMA.items():
+        value = default
+        for attr in path:
+            value = getattr(value, attr)
+        assert build_config({key: _as_text(value)}).hash() == default.hash(), key
+
+
+def test_schema_aliases_and_pinned_hashes():
+    cfg = build_config({
+        "corpus.path": "data.txt",
+        "corpus.format": "tsv_triples",
+        "corpus.synthetic.num_items": "40",
+        "comatrix.window": "3",
+        "victim.train.epochs": "7",
+        "eval.ks": "2,4",
+    })
+    assert cfg.corpus_path == "data.txt"
+    assert cfg.corpus_format == "tsv_triples"
+    assert cfg.synthetic.num_items == 40
+    assert cfg.comatrix_window == 3
+    assert cfg.victim_train.epochs == 7
+    assert cfg.eval_ks == (2, 4)
+    assert build_config({}).hash() == "c1221b177fbb42dc"
+    assert build_config({"seed": "5"}).hash() == "f51dbedc4c62d455"
 
 
 def test_config_seed_derivation_stable_and_overridable():
@@ -281,6 +334,12 @@ def test_cli_config_error_exits_1(tmp_path, capsys):
     rc = cli.main(["pipeline", "--out", str(tmp_path), "--set", "bogus.key=1"])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_out_of_range_value_exits_1(tmp_path, capsys):
+    rc = cli.main(["pipeline", "--out", str(tmp_path), "--set", "distill.alpha=1.0"])
+    assert rc == 1
+    assert "distill: alpha must be in (0, 1)" in capsys.readouterr().err
 
 
 def test_cli_stage_failure_exits_2(tmp_path, capsys):
