@@ -65,6 +65,7 @@ from .recmodel import (
     score_all,
     train,
 )
+from .ranking import topk_ids
 from .synthetic import SyntheticSpec, gen_synthetic_corpus
 from .synthgen import SamplerPolicy, generate_sequences
 

@@ -17,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CoMatrix, corel, topk_neighbors
+# corel is not called here, but it stays importable as attack.corel: the
+# benchmark's tracer wraps it in every module that holds it
+from .corpus import CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
 from .oracle import BlackBox
-from .recmodel import RecommenderParams, ce_last_row_grad, forward_scores
+from .ranking import topk_ids
+from .recmodel import RecommenderParams, appended_scores, ce_last_row_grad, forward_scores
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -73,6 +76,37 @@ def target_probability(params: RecommenderParams, x, target: int) -> float:
     return float(ex[target] / ex.sum())
 
 
+def _appended_probabilities(params: RecommenderParams, x, cands, target: int) -> np.ndarray:
+    """target_probability(params, x + [c], target) for every candidate c."""
+    scores = appended_scores(params, x, cands)
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return ex[:, target] / ex.sum(axis=1)
+
+
+def _cosines_with(emb: np.ndarray):
+    """Cosine of every row of emb with a probe vector, as a function of the
+    probe; the row norms are computed once. A near-zero row or probe scores 0."""
+    norms = np.linalg.norm(emb, axis=1)
+    ok = norms >= COSINE_NORM_FLOOR
+    rows, row_norms = emb[ok], norms[ok]
+
+    def cosines(probe: np.ndarray) -> np.ndarray:
+        sims = np.zeros(emb.shape[0])
+        pnorm = np.linalg.norm(probe)
+        if pnorm >= COSINE_NORM_FLOOR:
+            sims[ok] = (rows @ probe) / (row_norms * pnorm)
+        return sims
+
+    return cosines
+
+
+def _probe(surrogate: RecommenderParams, z, target: int, epsilon: float) -> np.ndarray:
+    """The target's embedding stepped against the sign of the CE gradient
+    w.r.t. the last embedded row of z."""
+    gpos = ce_last_row_grad(surrogate, z, target)
+    return surrogate.emb[target] - epsilon * np.sign(gpos)
+
+
 def grad_alignment(
     surrogate: RecommenderParams, z, target: int, epsilon: float
 ) -> np.ndarray:
@@ -86,16 +120,15 @@ def grad_alignment(
     """
     if len(z) == 0 or int(z[-1]) != int(target):
         raise ValueError("sequence must end with the target placeholder")
-    gpos = ce_last_row_grad(surrogate, z, target)
-    probe = surrogate.emb[target] - epsilon * np.sign(gpos)
-    pnorm = np.linalg.norm(probe)
-    enorm = np.linalg.norm(surrogate.emb, axis=1)
-    sims = np.zeros(surrogate.num_items)
-    if pnorm < COSINE_NORM_FLOOR:
-        return sims
-    ok = enorm >= COSINE_NORM_FLOOR
-    sims[ok] = (surrogate.emb[ok] @ probe) / (enorm[ok] * pnorm)
-    return sims
+    return _cosines_with(surrogate.emb)(_probe(surrogate, z, target, epsilon))
+
+
+def _minmax(raw: np.ndarray) -> np.ndarray:
+    """Min-max normalization; a degenerate range maps every entry to 0.5."""
+    lo, hi = raw.min(), raw.max()
+    if hi - lo <= 0:
+        return np.full(raw.shape, 0.5)
+    return (raw - lo) / (hi - lo)
 
 
 def collab_signal(m: CoMatrix, target: int, pool, kind: str = "jaccard") -> dict[int, float]:
@@ -103,20 +136,22 @@ def collab_signal(m: CoMatrix, target: int, pool, kind: str = "jaccard") -> dict
 
     Degenerate pools (all raw scores equal, or a single item) map to 0.5.
     """
-    items = list(pool)
+    items = [int(j) for j in pool]
     if not items:
         raise ValueError("pool must be non-empty")
-    raw = np.array([corel(m, int(j), target, kind) for j in items])
-    lo, hi = raw.min(), raw.max()
-    if hi - lo <= 0:
-        return {int(j): 0.5 for j in items}
-    normed = (raw - lo) / (hi - lo)
-    return {int(j): float(s) for j, s in zip(items, normed)}
+    normed = _minmax(corel_row(m, target, kind)[items])
+    return dict(zip(items, normed.tolist()))
 
 
 def fuse(sim_g, s_tilde, w_g: float, w_s: float):
     """Linear fusion w_g * gradient alignment + w_s * collaborative score."""
     return w_g * sim_g + w_s * s_tilde
+
+
+def _cohort(neighbors, sim_g: np.ndarray, target: int, k: int) -> np.ndarray:
+    """Sorted union of the neighbors and the k items best aligned by sim_g,
+    the target left out."""
+    return np.union1d(neighbors, topk_ids(sim_g, k, skip=target))
 
 
 def cohort_filter(
@@ -127,12 +162,7 @@ def cohort_filter(
     belongs to the cohort."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    neighbors = set(topk_neighbors(m, target, k, kind))
-    order = np.lexsort((np.arange(sim_g.shape[0]), -sim_g))
-    aligned = [int(i) for i in order if int(i) != target][:k]
-    cohort = neighbors | set(aligned)
-    cohort.discard(int(target))
-    return cohort
+    return set(_cohort(topk_neighbors(m, target, k, kind), sim_g, target, k).tolist())
 
 
 def pollute_detailed(
@@ -147,6 +177,10 @@ def pollute_detailed(
     (ties: higher collaborative score, then lower id). The target itself is
     never appended. An empty cohort falls back to the top-n gradient-aligned
     items over the full catalog and is counted in the info record.
+
+    The target's relatedness row, its neighbors and the embedding norms are
+    computed once per call; grad_alignment, cohort_filter and collab_signal
+    are the same computations for a single step.
     """
     t = int(cfg.target)
     z = [int(i) for i in x]
@@ -157,29 +191,23 @@ def pollute_detailed(
         target_prob_start=target_probability(surrogate, z, t) if z else 0.0,
         target_prob_end=0.0,
     )
-    v = surrogate.num_items
+    rel = corel_row(m, t, cfg.corel_kind)
+    neighbors = topk_ids(rel, cfg.neighbor_k, skip=t)
+    cosines = _cosines_with(surrogate.emb)
     while len(z) < cfg.total_length:
-        sim_g = grad_alignment(surrogate, z + [t], t, cfg.epsilon)
-        cohort = cohort_filter(m, t, sim_g, cfg.neighbor_k, cfg.corel_kind)
-        if cohort:
-            items = np.array(sorted(cohort))
-            stil = collab_signal(m, t, items, cfg.corel_kind)
-            stil_arr = np.array([stil[int(j)] for j in items])
-            fused = fuse(sim_g[items], stil_arr, cfg.w_g, cfg.w_s)
-            order = np.lexsort((items, -fused))
-            cand = [int(items[i]) for i in order[: cfg.n_candidates]]
+        sim_g = cosines(_probe(surrogate, z + [t], t, cfg.epsilon))
+        items = _cohort(neighbors, sim_g, t, cfg.neighbor_k)
+        if items.size:
+            stil = _minmax(rel[items])
+            top = topk_ids(fuse(sim_g[items], stil, cfg.w_g, cfg.w_s), cfg.n_candidates)
+            cand, stil = items[top], stil[top]
         else:
             info.fallback_steps += 1
-            order = np.lexsort((np.arange(v), -sim_g))
-            cand = [int(i) for i in order if int(i) != t][: cfg.n_candidates]
-            stil = {}
-        best = None
-        for c in cand:
-            prob = target_probability(surrogate, z + [c], t)
-            key = (prob, stil.get(c, 0.0), -c)
-            if best is None or key > best[0]:
-                best = (key, c)
-        z.append(best[1])
+            cand = topk_ids(sim_g, cfg.n_candidates, skip=t)
+            stil = np.zeros(cand.size)
+        probs = _appended_probabilities(surrogate, z, cand, t)
+        best = max(range(cand.size), key=lambda i: (probs[i], stil[i], -cand[i]))
+        z.append(int(cand[best]))
     info.target_prob_end = target_probability(surrogate, z, t) if z else 0.0
     return z, info
 
@@ -211,18 +239,12 @@ def baseline_sim_alter(model: RecommenderParams, x, target: int, total_length: i
     z = [int(i) for i in x]
     if len(z) >= total_length:
         raise ValueError("input already at the requested total length")
-    et = model.emb[target]
-    tnorm = np.linalg.norm(et)
-    enorm = np.linalg.norm(model.emb, axis=1)
-    sims = np.zeros(model.num_items)
-    ok = (enorm >= COSINE_NORM_FLOOR) & (tnorm >= COSINE_NORM_FLOOR)
-    sims[ok] = (model.emb[ok] @ et) / (enorm[ok] * tnorm)
-    order = np.lexsort((np.arange(model.num_items), -sims))
-    queue = [int(i) for i in order if int(i) != target]
-    pos = 0
-    while len(z) < total_length:
-        z.append(queue[pos])
-        pos += 1
+    need = -(-(total_length - len(z)) // 2)  # neighbors among the appended items
+    if need > model.num_items - 1:
+        raise ValueError("the catalog has too few items for the requested length")
+    sims = _cosines_with(model.emb)(model.emb[target])
+    for item in topk_ids(sims, need, skip=target).tolist():
+        z.append(item)
         if len(z) < total_length:
             z.append(int(target))
     return z

@@ -14,10 +14,12 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
+from .corpus import COREL_KINDS
 from .distill import DistillConfig
 from .errors import ConfigError
 from .recmodel import TrainConfig
 from .synthetic import SyntheticSpec
+from .synthgen import SamplerPolicy
 
 STAGES = ("corpus", "victim", "synthesize", "distill", "attack", "evaluate")
 
@@ -30,11 +32,23 @@ class ModelConfig:
     gamma: float = 0.3
     init_seed: int = 0
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if not (0.0 < self.gamma <= 1.0):
+            raise ValueError("gamma must be in (0, 1]")
+
 
 @dataclass
 class OracleConfig:
     k: int = 100
     budget: int | None = None  # None -> 20 * count * maxlen
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be >= 0 or auto")
 
 
 @dataclass
@@ -45,6 +59,13 @@ class SynthesisConfig:
     count: int = 1000
     maxlen: int = 21
     seed: int = 0
+
+    def __post_init__(self):
+        SamplerPolicy(self.policy, self.alpha, self.tau)  # its own policy checks
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        if self.maxlen < 2:
+            raise ValueError("maxlen must be >= 2")
 
 
 @dataclass
@@ -61,6 +82,17 @@ class AttackStageConfig:
     corel_kind: str = "jaccard"
     refine: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        if self.corel_kind not in COREL_KINDS:
+            raise ValueError(f"unknown corel kind {self.corel_kind!r}")
+        for name in ("num_users", "num_targets", "eval_k", "n_candidates", "neighbor_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.length_factor <= 0:
+            raise ValueError("length_factor must be > 0")
+        if self.w_g < 0 or self.w_s < 0 or abs(self.w_g + self.w_s - 1.0) > 1e-9:
+            raise ValueError("fusion weights w_g, w_s must be >= 0 and sum to 1")
 
 
 @dataclass
@@ -228,8 +260,6 @@ def build_config(flat: dict[str, str]) -> ExperimentConfig:
     if w_s in values and w_g not in values:
         values[w_g] = 1.0 - values[w_s]
     cfg = _rebuild(ExperimentConfig(), (), values)
-    if abs(cfg.attack.w_g + cfg.attack.w_s - 1.0) > 1e-9:
-        raise ConfigError("attack.w_g + attack.w_s must equal 1")
     if cfg.corpus_format not in ("tsv_triples", "sequence_lines"):
         raise ConfigError(f"unknown corpus format {cfg.corpus_format!r}")
     return cfg

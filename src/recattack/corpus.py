@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .ranking import topk_ids
+
 # Shortest history that still yields a train prefix, a validation target and
 # a test target.
 MIN_SEQUENCE_LEN = 3
@@ -257,10 +259,15 @@ def corel(m: CoMatrix, i: int, j: int, kind: str = "jaccard") -> float:
 
 
 def corel_row(m: CoMatrix, t: int, kind: str = "jaccard") -> np.ndarray:
-    """Vectorized corel(m, j, t) for every item j; entry t is the 1.0 self-score."""
+    """corel(m, j, t) for every item j, bit for bit; entry t is the 1.0
+    self-score. Reads row t of the CSR counts directly."""
     if kind not in COREL_KINDS:
         raise ValueError(f"unknown corel kind {kind!r}")
-    cpair = np.asarray(m.pair_counts.getrow(t).todense(), dtype=np.float64).ravel()
+    if not 0 <= t < m.num_items:
+        raise ValueError(f"item {t} outside [0, {m.num_items})")
+    pc = m.pair_counts
+    lo, hi = pc.indptr[t], pc.indptr[t + 1]
+    cpair = np.bincount(pc.indices[lo:hi], weights=pc.data[lo:hi], minlength=m.num_items)
     counts = m.item_counts.astype(np.float64)
     ct = counts[t]
     out = np.zeros(m.num_items, dtype=np.float64)
@@ -269,10 +276,10 @@ def corel_row(m: CoMatrix, t: int, kind: str = "jaccard") -> np.ndarray:
         np.divide(cpair, denom, out=out, where=denom > 0)
     else:
         ok = (cpair > 0) & (counts > 0) & (ct > 0)
-        if ok.any():
-            out[ok] = np.maximum(
-                0.0, np.log(cpair[ok] * m.total_positions / (ct * counts[ok]))
-            )
+        ratio = cpair[ok] * m.total_positions / (ct * counts[ok])
+        # math.log as in corel: numpy's vectorised log differs from it in
+        # the last bit on about one input in two thousand
+        out[ok] = [max(0.0, math.log(r)) for r in ratio.tolist()]
     out[t] = 1.0
     return out
 
@@ -285,7 +292,4 @@ def topk_neighbors(m: CoMatrix, t: int, k: int, kind: str = "jaccard") -> list[i
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = corel_row(m, t, kind)
-    order = np.lexsort((np.arange(m.num_items), -scores))
-    picked = [int(i) for i in order if i != t]
-    return picked[:k]
+    return topk_ids(corel_row(m, t, kind), k, skip=t).tolist()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SplitDataset
+from .ranking import topk_ids
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +123,20 @@ def score_all(params: RecommenderParams, hidden: np.ndarray) -> np.ndarray:
 def forward_scores(params: RecommenderParams, x) -> np.ndarray:
     """Convenience: scores of all items for a raw sequence."""
     return score_all(params, encode(params, embed(params, x)))
+
+
+def appended_scores(params: RecommenderParams, x, items) -> np.ndarray:
+    """forward_scores(params, x + [c]) for every c in items, as the rows of
+    one (n, V) matrix.
+
+    Appending c moves the pooled state by one rank-1 step: the new position
+    takes the weight b = position_weights(gamma, T + 1)[-1], and the earlier
+    weights, hence the state of x, shrink by 1 - b.
+    """
+    b = position_weights(params.gamma, len(x) + 1)[-1]
+    h = encode(params, embed(params, x)) if len(x) else np.zeros(params.dim)
+    hidden = (1.0 - b) * h + b * params.emb[np.asarray(items, dtype=np.int64)]
+    return hidden @ params.emb.T + params.bias
 
 
 def _ragged(seqs):
@@ -298,15 +313,13 @@ def recommend_topk(params: RecommenderParams, x, k: int, exclude_seen: bool = Fa
 
     Items already present in x are kept unless exclude_seen is set.
     """
-    v = params.num_items
-    if not (1 <= k <= v):
+    if not (1 <= k <= params.num_items):
         raise ValueError("k must be in [1, V]")
     scores = forward_scores(params, x)
     if exclude_seen:
         scores = scores.copy()
         scores[list(set(int(i) for i in x))] = -np.inf
-    order = np.lexsort((np.arange(v), -scores))
-    return [int(i) for i in order[:k]]
+    return topk_ids(scores, k).tolist()
 
 
 def save_params(params: RecommenderParams, path) -> None:

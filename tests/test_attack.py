@@ -221,6 +221,47 @@ def test_pollute_greedy_step_matches_exhaustive_argmax():
             cur.append(appended)
 
 
+def test_pollute_greedy_step_matches_exhaustive_argmax_ppmi():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        v = int(rng.integers(5, 11))
+        p = rand_params(rng, v=v, d=int(rng.integers(2, 5)))
+        m = toy_comatrix(rng, v)
+        t = int(rng.integers(0, v))
+        x = [int(i) for i in rng.integers(0, v, size=3)]
+        cfg = AttackConfig(
+            target=t, total_length=len(x) + 3, n_candidates=2 * v, neighbor_k=3,
+            corel_kind="ppmi",
+        )
+        z = pollute(p, m, x, cfg)
+        assert len(z) == cfg.total_length
+        assert z[: len(x)] == x
+        assert t not in z[len(x):]
+        cur = list(x)
+        for appended in z[len(x):]:
+            sims = grad_alignment(p, cur + [t], t, cfg.epsilon)
+            cohort = cohort_filter(m, t, sims, cfg.neighbor_k, cfg.corel_kind)
+            stil = collab_signal(m, t, sorted(cohort), cfg.corel_kind)
+            best = max(
+                sorted(cohort),
+                key=lambda c: (target_probability(p, cur + [c], t), stil[c], -c),
+            )
+            assert appended == best
+            cur.append(appended)
+
+
+def test_appended_probabilities_match_forward_passes():
+    from recattack.attack import _appended_probabilities
+
+    rng = np.random.default_rng(18)
+    for length in (0, 1, 4):
+        p = rand_params(rng, v=9, d=3, gamma=float(rng.uniform(0.2, 1.0)))
+        x = [int(i) for i in rng.integers(0, 9, size=length)]
+        cands = np.array([0, 4, 8, 2])
+        want = [target_probability(p, x + [int(c)], 5) for c in cands]
+        assert np.allclose(_appended_probabilities(p, x, cands, 5), want, rtol=1e-12, atol=0)
+
+
 def test_pollute_gradient_only_ignores_empty_comatrix_weighting():
     # with no co-occurrence signal the collaborative term is constant, so
     # any weight split gives the same greedy path as the pure-gradient run

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recattack.corpus import (
+    COREL_KINDS,
     CorpusFormatError,
     EmptyCorpusError,
     InteractionCorpus,
@@ -285,3 +287,23 @@ def test_topk_matches_enumeration():
         )
         expected = [j for _, j in scored][:3]
         assert topk_neighbors(m, t, 3) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seqs=st.lists(st.lists(st.integers(0, 7), min_size=3, max_size=10), min_size=1, max_size=6),
+    window=st.integers(1, 3),
+)
+def test_corel_row_equals_scalar_bit_for_bit(seqs, window):
+    v = 8  # items that never occur have zero counts
+    corpus = InteractionCorpus(
+        users=tuple(str(i) for i in range(len(seqs))),
+        sequences=tuple(tuple(s) for s in seqs),
+        num_items=v,
+    )
+    m = build_comatrix(corpus, window=window)
+    a, b = np.divmod(np.arange(v * v), v)
+    for kind in COREL_KINDS:
+        scalar = [corel(m, int(i), int(j), kind) for i, j in zip(a, b)]
+        rows = [corel_row(m, t, kind)[j] for j, t in zip(a, b)]
+        assert rows == scalar

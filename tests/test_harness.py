@@ -132,6 +132,19 @@ def test_build_config_applies_and_validates():
         ("victim.train.learning_rate", "-1", "victim.train"),
         ("distill.train.batch_size", "0", "distill.train"),
         ("distill.negatives_per_position", "0", "distill"),
+        ("victim.dim", "0", "victim"),
+        ("surrogate.gamma", "1.5", "surrogate"),
+        ("oracle.k", "0", "oracle"),
+        ("oracle.budget", "-1", "oracle"),
+        ("synth.policy", "bogus", "synth"),
+        ("synth.alpha", "1.5", "synth"),
+        ("synth.count", "0", "synth"),
+        ("synth.maxlen", "1", "synth"),
+        ("attack.corel_kind", "bogus", "attack"),
+        ("attack.neighbor_k", "0", "attack"),
+        ("attack.num_targets", "0", "attack"),
+        ("attack.length_factor", "0", "attack"),
+        ("attack.w_g", "1.5", "attack"),
     ]:
         with pytest.raises(ConfigError, match=rf"^{section}: "):
             build_config({key: value})
@@ -340,6 +353,14 @@ def test_cli_out_of_range_value_exits_1(tmp_path, capsys):
     rc = cli.main(["pipeline", "--out", str(tmp_path), "--set", "distill.alpha=1.0"])
     assert rc == 1
     assert "distill: alpha must be in (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_section_range_checks_exit_1_before_any_stage(tmp_path, capsys):
+    for setting in ("victim.dim=0", "synth.policy=bogus", "attack.corel_kind=bogus"):
+        out = tmp_path / setting.split("=")[0]
+        assert cli.main(["pipeline", "--out", str(out), "--set", setting]) == 1
+        assert f"config error: {setting.split('.')[0]}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_stage_failure_exits_2(tmp_path, capsys):

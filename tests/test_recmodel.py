@@ -10,6 +10,7 @@ from recattack.recmodel import (
     RecommenderParams,
     TrainConfig,
     _ce_batch,
+    appended_scores,
     ce_last_row_grad,
     ce_loss_and_grads,
     embed,
@@ -355,3 +356,14 @@ def test_params_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"not a params file\n1 2 3\n")
     with pytest.raises(ValueError, match="not a recognized"):
         load_params(path)
+
+
+def test_appended_scores_match_forward_passes():
+    rng = np.random.default_rng(19)
+    for length, gamma in ((0, 0.8), (1, 0.3), (5, 1.0), (7, 0.55)):
+        p = init_params(11, 4, gamma=gamma, seed=length)
+        p = RecommenderParams(emb=p.emb, bias=rng.normal(size=11), gamma=gamma)
+        x = [int(i) for i in rng.integers(0, 11, size=length)]
+        items = [0, 3, 10, 3]
+        want = np.stack([forward_scores(p, x + [c]) for c in items])
+        assert np.allclose(appended_scores(p, x, items), want, rtol=1e-12, atol=1e-14)
