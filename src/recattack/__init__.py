@@ -61,6 +61,7 @@ from .recmodel import (
     init_params,
     load_params,
     recommend_topk,
+    recommend_topk_batch,
     save_params,
     score_all,
     train,

@@ -217,8 +217,14 @@ def pollute(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig) -> 
     return pollute_detailed(surrogate, m, x, cfg)[0]
 
 
+def _check_target(target: int, num_items: int) -> None:
+    if not (0 <= target < num_items):
+        raise ValueError(f"target {target} outside [0, {num_items})")
+
+
 def baseline_rand_alter(x, target: int, total_length: int, num_items: int, seed: int = 0) -> list[int]:
     """Append alternating (uniform random non-target item, target), truncated."""
+    _check_target(target, num_items)
     z = [int(i) for i in x]
     if len(z) >= total_length:
         raise ValueError("input already at the requested total length")
@@ -236,6 +242,7 @@ def baseline_rand_alter(x, target: int, total_length: int, num_items: int, seed:
 def baseline_sim_alter(model: RecommenderParams, x, target: int, total_length: int) -> list[int]:
     """Append alternating (next-nearest unused cosine neighbor of the target,
     target), truncated at the requested length."""
+    _check_target(target, model.num_items)
     z = [int(i) for i in x]
     if len(z) >= total_length:
         raise ValueError("input already at the requested total length")
@@ -275,6 +282,7 @@ def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
 
 def validate(bb: BlackBox, z, target: int, k: int) -> ExposureResult:
     """Query the black box with z and report the target's exposure in top-k."""
+    _check_target(target, bb.num_items)
     ranked = bb.query(z)
     top = list(ranked[:k])
     if target in top:

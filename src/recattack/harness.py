@@ -36,7 +36,7 @@ from .distill import distill_train
 from .errors import ConfigError, StageError
 from .evalkit import MetricReport, agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
 from .oracle import BlackBox, load_queryset, save_queryset
-from .recmodel import init_params, load_params, recommend_topk, save_params, train
+from .recmodel import init_params, load_params, recommend_topk_batch, save_params, train
 from .synthetic import gen_synthetic_corpus
 from .synthgen import SamplerPolicy, generate_sequences
 
@@ -225,8 +225,8 @@ def _ranking_quality(params, pairs, ks) -> dict:
     maxk = max(ks)
     metrics = {f"recall@{k}": 0.0 for k in ks}
     metrics.update({f"ndcg@{k}": 0.0 for k in ks})
-    for prefix, truth in pairs:
-        ranked = recommend_topk(params, prefix, maxk)
+    rankings = recommend_topk_batch(params, [prefix for prefix, _ in pairs], maxk)
+    for ranked, (_, truth) in zip(rankings.tolist(), pairs):
         for k in ks:
             metrics[f"recall@{k}"] += recall_at_k(ranked, truth, k)
             metrics[f"ndcg@{k}"] += ndcg_at_k(ranked, truth, k)
@@ -239,9 +239,9 @@ def agreement_metrics(victim, surrogate, prefixes, ks) -> dict:
     wanted = sorted(set(ks) | {1})
     maxk = max(wanted)
     out = {f"agr@{k}": 0.0 for k in wanted}
-    for prefix in prefixes:
-        lb = recommend_topk(victim, prefix, maxk)
-        lw = recommend_topk(surrogate, prefix, maxk)
+    victim_top = recommend_topk_batch(victim, prefixes, maxk).tolist()
+    surrogate_top = recommend_topk_batch(surrogate, prefixes, maxk).tolist()
+    for lb, lw in zip(victim_top, surrogate_top):
         for k in wanted:
             out[f"agr@{k}"] += agreement_at_k(lb, lw, k)
     n = max(1, len(prefixes))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .recmodel import RecommenderParams, recommend_topk
+from .recmodel import RecommenderParams, recommend_topk, recommend_topk_batch
 
 
 class BudgetExhausted(RuntimeError):
@@ -32,16 +32,30 @@ class QuerySet:
         return iter(self.pairs)
 
 
+class _Labels(dict):
+    """id -> decimal text, each id converted once."""
+
+    def __missing__(self, i):
+        text = self[i] = str(i)
+        return text
+
+
 def save_queryset(qs: QuerySet, path) -> None:
-    """Line-delimited export: prefix ids, tab, ranked ids."""
-    lines = []
-    if qs.truncated:
-        lines.append("# truncated")
-    for prefix, ranked in qs.pairs:
-        lines.append(
-            " ".join(str(i) for i in prefix) + "\t" + " ".join(str(i) for i in ranked)
+    """Line-delimited export: prefix ids, tab, ranked ids.
+
+    Lines are written as they are built, so the text of a large set is never
+    held whole. An empty untruncated set is one empty line.
+    """
+    label = _Labels().__getitem__
+    with open(path, "w", encoding="utf-8") as fh:
+        if qs.truncated:
+            fh.write("# truncated\n")
+        elif not qs.pairs:
+            fh.write("\n")
+        fh.writelines(
+            " ".join(map(label, prefix)) + "\t" + " ".join(map(label, ranked)) + "\n"
+            for prefix, ranked in qs.pairs
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_queryset(path) -> QuerySet:
@@ -107,6 +121,28 @@ class BlackBox:
         self._used += 1
         if self.log_queries:
             self._log.append((tuple(int(i) for i in x), ranked))
+        return ranked
+
+    def query_batch(self, prefixes) -> list[tuple[int, ...]]:
+        """query(x) of every prefix, one charge per row, in one ranking call.
+
+        `prefixes` is a list of sequences or a 2-D array of equal-length ones.
+        When the rows exceed the remaining budget, BudgetExhausted is raised
+        and nothing is charged.
+        """
+        n = len(prefixes)
+        if self.budget is not None and n > self.budget - self._used:
+            raise BudgetExhausted(
+                f"query budget of {self.budget} has {self.budget - self._used} left, "
+                f"{n} asked"
+            )
+        top = recommend_topk_batch(self._victim, prefixes, self.k)
+        ranked = list(map(tuple, top.tolist()))
+        self._used += n
+        if self.log_queries:
+            self._log.extend(
+                (tuple(int(i) for i in x), r) for x, r in zip(prefixes, ranked)
+            )
         return ranked
 
     def drain_log(self) -> QuerySet:

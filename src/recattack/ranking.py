@@ -29,3 +29,33 @@ def topk_ids(scores, k: int, skip: int | None = None) -> np.ndarray:
     if skip is not None:
         top = top[top != skip]
     return top[:k]
+
+
+def topk_rows(scores, k: int) -> np.ndarray:
+    """topk_ids of every row of a 2-D score matrix, as an (n, k) array.
+
+    One row-wise partition finds each row's k-th value. A row whose k ids at
+    or above it are exactly k, with k distinct values, has one order: any
+    argsort of the values gives it, and the fast unstable one is used. Rows
+    with a tie anywhere in the top k, or a NaN at the cut, go through
+    topk_ids itself.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    neg = -scores
+    k = int(k)
+    if not (1 <= k <= neg.shape[1]):
+        raise ValueError("k must be in [1, number of columns]")
+    mask = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    rows = np.flatnonzero(mask.sum(axis=1) == k)
+    ids = np.nonzero(mask[rows])[1].reshape(-1, k)
+    vals = np.take_along_axis(neg[rows], ids, axis=1)
+    order = np.argsort(vals, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    distinct = (vals[:, 1:] > vals[:, :-1]).all(axis=1)
+    out = np.empty((neg.shape[0], k), dtype=np.int64)
+    out[rows[distinct]] = np.take_along_axis(ids[distinct], order[distinct], axis=1)
+    slow = np.ones(neg.shape[0], dtype=bool)
+    slow[rows[distinct]] = False
+    for r in np.flatnonzero(slow):
+        out[r] = topk_ids(scores[r], k)
+    return out

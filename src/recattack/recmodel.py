@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import SplitDataset
-from .ranking import topk_ids
+from .ranking import topk_ids, topk_rows
 
 log = logging.getLogger(__name__)
 
@@ -320,6 +320,52 @@ def recommend_topk(params: RecommenderParams, x, k: int, exclude_seen: bool = Fa
         scores = scores.copy()
         scores[list(set(int(i) for i in x))] = -np.inf
     return topk_ids(scores, k).tolist()
+
+
+SCORE_BLOCK = 1 << 15  # scores per block: 128 prefixes on a 256-item catalog
+
+
+def score_blocks(params: RecommenderParams, prefixes):
+    """Yield (rows, scores): forward_scores of prefixes[rows], a block of about
+    SCORE_BLOCK scores at a time.
+
+    `prefixes` is a list of sequences or a 2-D array of equal-length ones.
+    Prefixes of one length T are pooled as matmul(position_weights(gamma, T),
+    E[X]) and scored as matmul(E, H[:, :, None]) + b. Both are stacked
+    matrix-vector products, so every row equals forward_scores bit for bit;
+    H @ E.T, one matrix product, differs in the last bits.
+    """
+    if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
+        groups = [(np.arange(prefixes.shape[0]), prefixes.astype(np.int64, copy=False))]
+    else:
+        prefixes = [list(x) for x in prefixes]
+        lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+        groups = []
+        for t in np.unique(lengths):
+            rows = np.flatnonzero(lengths == t)
+            x = np.array([prefixes[r] for r in rows], dtype=np.int64).reshape(rows.size, t)
+            groups.append((rows, x))
+    step = max(1, SCORE_BLOCK // params.num_items)
+    for rows, x in groups:
+        if x.shape[1] == 0:
+            raise ValueError("sequence must be non-empty")
+        if x.size and (x.min() < 0 or x.max() >= params.num_items):
+            raise ValueError("item id out of range")
+        w = position_weights(params.gamma, x.shape[1])
+        for b in range(0, rows.size, step):
+            hidden = np.matmul(w, params.emb[x[b : b + step]])
+            scores = np.matmul(params.emb, hidden[:, :, None])[..., 0] + params.bias
+            yield rows[b : b + step], scores
+
+
+def recommend_topk_batch(params: RecommenderParams, prefixes, k: int) -> np.ndarray:
+    """recommend_topk(params, x, k) of every prefix x, as the rows of an (n, k) array."""
+    if not (1 <= k <= params.num_items):
+        raise ValueError("k must be in [1, V]")
+    out = np.empty((len(prefixes), k), dtype=np.int64)
+    for rows, scores in score_blocks(params, prefixes):
+        out[rows] = topk_rows(scores, k)
+    return out
 
 
 def save_params(params: RecommenderParams, path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import BlackBox, BudgetExhausted, QuerySet
+from .oracle import BlackBox, QuerySet
 
 POLICY_KINDS = ("position_decay", "rank_temperature", "uniform")
 
@@ -49,6 +49,8 @@ class SamplerPolicy:
             w = np.exp(-j / self.tau)
         else:
             w = np.ones(k)
+        if not w.sum() > 0:
+            raise ValueError(f"{self.kind} weights underflow to zero")
         return w / w.sum()
 
 
@@ -61,23 +63,40 @@ def generate_sequences(
 ) -> QuerySet:
     """Synthesize `count` sequences of length `maxlen`, recording every pair.
 
-    A budget hit mid-generation stops immediately; the pairs collected so
-    far are returned with the truncated flag set.
+    Pairs come sequence by sequence, each prefix extending the one before it
+    by an item of that prefix's ranking. When the budget cannot pay for all
+    count * (maxlen - 1) queries, only the first `remaining` pairs in that
+    order are queried and the set is flagged truncated.
+
+    The sequences advance together, one batched query per step. Every
+    response has length k, so no draw depends on the oracle's answer: the
+    seed item and the positions are drawn up front, sequence by sequence,
+    from the same stream as rng.integers(V) followed by maxlen - 1 scalar
+    rng.choice(k, p=w) draws.
     """
     if maxlen < 2:
         raise ValueError("maxlen must be >= 2")
     if count < 1:
         raise ValueError("count must be >= 1")
+    steps = maxlen - 1
     rng = np.random.default_rng(seed)
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _ in range(count):
-        seq = [int(rng.integers(bb.num_items))]
-        while len(seq) < maxlen:
-            try:
-                ranked = bb.query(seq)
-            except BudgetExhausted:
-                return QuerySet(pairs=pairs, truncated=True)
-            pairs.append((tuple(seq), ranked))
-            w = policy.position_weights(len(ranked))
-            seq.append(int(ranked[rng.choice(len(ranked), p=w)]))
-    return QuerySet(pairs=pairs, truncated=False)
+    cdf = policy.position_weights(bb.k).cumsum()
+    cdf /= cdf[-1]
+    seqs = np.empty((count, maxlen), dtype=np.int64)
+    draws = np.empty((count, steps))
+    for i in range(count):
+        seqs[i, 0] = rng.integers(bb.num_items)
+        draws[i] = rng.random(steps)
+    picks = cdf.searchsorted(draws, side="right")
+    total = count * steps
+    queried = total if bb.remaining is None else min(total, bb.remaining)
+    # pair (i, t) is number i * steps + t; step t queries the sequences whose
+    # pair falls before the cut, always a leading run of them
+    pairs: list = [None] * queried
+    for t in range(min(steps, queried)):
+        active = len(range(t, queried, steps))
+        prefixes = seqs[:active, : t + 1]
+        ranked = bb.query_batch(prefixes)
+        seqs[:active, t + 1] = [r[j] for r, j in zip(ranked, picks[:active, t].tolist())]
+        pairs[t::steps] = list(zip(map(tuple, prefixes.tolist()), ranked))
+    return QuerySet(pairs=pairs, truncated=queried < total)

@@ -323,6 +323,19 @@ def test_sim_alter_inserted_items_distinct():
     assert len(inserted) == len(set(inserted))
 
 
+@pytest.mark.parametrize("target", [-1, 8])
+def test_baselines_and_validate_reject_target_outside_catalog(target):
+    p = rand_params(np.random.default_rng(12), v=8)
+    with pytest.raises(ValueError, match="target"):
+        baseline_rand_alter([1, 2, 3], target, total_length=7, num_items=8, seed=0)
+    with pytest.raises(ValueError, match="target"):
+        baseline_sim_alter(p, [1, 2, 3], target, total_length=7)
+    bb = BlackBox(p, k=5)
+    with pytest.raises(ValueError, match="target"):
+        validate(bb, [1, 2, 3], target, 5)
+    assert bb.used == 0
+
+
 # -------------------------------------------------------------------- validate
 
 

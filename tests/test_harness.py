@@ -13,12 +13,16 @@ from recattack.config import (
 )
 from recattack.corpus import build_comatrix, corel
 from recattack.errors import ConfigError, StageError
+from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
+    _ranking_quality,
+    agreement_metrics,
     report_bytes_without_timing,
     run_ablation,
     run_alpha_sweep,
     run_pipeline,
 )
+from recattack.recmodel import RecommenderParams, recommend_topk
 from recattack.synthetic import SyntheticSpec, gen_synthetic_corpus, item_groups
 from recattack import cli
 
@@ -51,6 +55,41 @@ def tiny_config(out_dir, extra=None) -> ExperimentConfig:
     if extra:
         flat.update(extra)
     return build_config(flat)
+
+
+# -------------------------------------------------------------- metrics
+
+
+def metric_models(v=12, d=3, seed=0):
+    # victim rows are duplicated, so its rankings tie at every cut
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, v, size=v)
+    vic = RecommenderParams(rng.normal(size=(v, d))[src], rng.normal(size=v)[src], 0.7)
+    sur = RecommenderParams(rng.normal(size=(v, d)), rng.normal(size=v), 0.9)
+    prefixes = [tuple(int(i) for i in rng.integers(0, v, size=n)) for n in rng.integers(1, 6, 200)]
+    return vic, sur, prefixes
+
+
+def test_agreement_and_ranking_quality_equal_single_prefix_loops():
+    vic, sur, prefixes = metric_models()
+    ks = (1, 3, 5)
+    want = {f"agr@{k}": 0.0 for k in ks}
+    for x in prefixes:
+        lb, lw = recommend_topk(vic, x, 5), recommend_topk(sur, x, 5)
+        for k in ks:
+            want[f"agr@{k}"] += agreement_at_k(lb, lw, k)
+    assert agreement_metrics(vic, sur, prefixes, (3, 5)) == {
+        key: val / len(prefixes) for key, val in want.items()
+    }
+    pairs = [(x, (sum(x) * 7) % 12) for x in prefixes]
+    want = {f"{m}@{k}": 0.0 for m in ("recall", "ndcg") for k in ks}
+    for x, truth in pairs:
+        ranked = recommend_topk(vic, x, 5)
+        for k in ks:
+            want[f"recall@{k}"] += recall_at_k(ranked, truth, k)
+            want[f"ndcg@{k}"] += ndcg_at_k(ranked, truth, k)
+    assert _ranking_quality(vic, pairs, ks) == {key: val / len(pairs) for key, val in want.items()}
+    assert set(_ranking_quality(vic, [], ks).values()) == {0.0}
 
 
 # ------------------------------------------------------------------- synthetic

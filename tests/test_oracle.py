@@ -53,6 +53,30 @@ def test_victim_is_frozen_against_outside_mutation():
     assert bb.query([1]) == before
 
 
+def test_query_batch_charges_per_row_and_matches_query():
+    vic = victim()
+    bb = BlackBox(vic, k=5, budget=6, log_queries=True)
+    prefixes = [[1, 2], [3], [0, 4, 5]]
+    got = bb.query_batch(prefixes)
+    assert got == [tuple(recommend_topk(vic, x, 5)) for x in prefixes]
+    assert bb.used == 3
+    assert bb.drain_log().pairs == [(tuple(x), r) for x, r in zip(prefixes, got)]
+    grid = np.array([[1, 2], [7, 7]])
+    assert bb.query_batch(grid) == [tuple(recommend_topk(vic, x, 5)) for x in grid]
+    assert bb.used == 5
+
+
+def test_query_batch_past_budget_charges_nothing():
+    bb = BlackBox(victim(), k=3, budget=4, log_queries=True)
+    bb.query([0])
+    with pytest.raises(BudgetExhausted):
+        bb.query_batch([[1], [2], [3], [4]])
+    assert bb.used == 1 and len(bb.drain_log()) == 1
+    assert len(bb.query_batch([[1], [2], [3]])) == 3
+    assert bb.remaining == 0
+    assert bb.query_batch([]) == []
+
+
 def test_log_drain_order_and_idempotence():
     bb = BlackBox(victim(), k=3, budget=None)
     for x in ([0], [1, 2], [3]):
@@ -83,6 +107,17 @@ def test_queryset_save_load_roundtrip(tmp_path):
     back = load_queryset(path)
     assert back.pairs == qs.pairs
     assert back.truncated
+
+
+def test_save_queryset_text_matches_plain_join(tmp_path):
+    pairs = [((1, 2), (3, 10**12)), ((np.int64(2),), (1, np.int64(3), 2)), ((0, -4), (-4, 0))]
+    path = tmp_path / "q.tsv"
+    save_queryset(QuerySet(pairs=pairs, truncated=True), path)
+    want = ["# truncated"] + [
+        " ".join(str(int(i)) for i in p) + "\t" + " ".join(str(int(i)) for i in r)
+        for p, r in pairs
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_load_queryset_rejects_negative_id(tmp_path):

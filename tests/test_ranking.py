@@ -1,13 +1,16 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from recattack.ranking import topk_ids
+from recattack.ranking import topk_ids, topk_rows
+
+
+VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     scores=st.lists(
-        st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]),
+        st.sampled_from(VALUES),
         min_size=1,
         max_size=30,
     ),
@@ -21,3 +24,24 @@ def test_topk_ids_equals_full_lexsort(scores, data):
     order = [int(i) for i in np.lexsort((np.arange(v), -s)) if i != skip]
     for k in range(1, v + 1):
         assert topk_ids(s, k, skip).tolist() == order[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(1, 12)),
+    data=st.data(),
+)
+def test_topk_rows_equals_topk_ids_per_row(shape, data):
+    # ties across the cut send a row to topk_ids; distinct values take the
+    # partition path, so both paths meet the same reference
+    n, v = shape
+    pool = data.draw(st.sampled_from([VALUES, list(np.linspace(-1.0, 1.0, 25))]))
+    s = np.array(
+        data.draw(st.lists(st.sampled_from(pool), min_size=n * v, max_size=n * v)),
+        dtype=np.float64,
+    ).reshape(n, v)
+    for k in range(1, v + 1):
+        got = topk_rows(s, k)
+        assert got.shape == (n, k)
+        for r in range(n):
+            assert got[r].tolist() == topk_ids(s[r], k).tolist()

@@ -20,8 +20,10 @@ from recattack.recmodel import (
     load_params,
     position_weights,
     recommend_topk,
+    recommend_topk_batch,
     save_params,
     score_all,
+    score_blocks,
     train,
 )
 
@@ -337,6 +339,66 @@ def test_topk_exclude_seen_flag():
     p = RecommenderParams(emb=emb, bias=np.array([5.0, 4.0, 3.0, 2.0]), gamma=0.8)
     assert recommend_topk(p, [0], 2) == [0, 1]
     assert recommend_topk(p, [0], 2, exclude_seen=True) == [1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 9)),
+    dup=st.booleans(),
+    gamma=st.floats(0.05, 1.0),
+    data=st.data(),
+)
+def test_batch_ranking_equals_single_prefix_path_bit_for_bit(shape, dup, gamma, data):
+    # duplicated embedding rows and biases score exactly alike, so the ties
+    # fall on the cut as often as not
+    v, d = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = rand_params(rng, v=v, d=d, gamma=gamma)
+    if dup:
+        src = rng.integers(0, v, size=v)
+        p = RecommenderParams(p.emb[src], p.bias[src], gamma)
+    prefixes = data.draw(
+        st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=7), max_size=300)
+    )
+    k = data.draw(st.integers(1, v))
+    seen = np.zeros(len(prefixes), dtype=int)
+    for rows, scores in score_blocks(p, prefixes):
+        for r, row in zip(rows, scores):
+            assert np.array_equal(row, forward_scores(p, prefixes[r]))
+            seen[r] += 1
+    assert (seen == 1).all()
+    got = recommend_topk_batch(p, prefixes, k)
+    assert got.shape == (len(prefixes), k)
+    assert got.tolist() == [recommend_topk(p, x, k) for x in prefixes]
+    same_length = [x for x in prefixes if len(x) == 3]
+    if same_length:
+        grid = np.array(same_length)
+        assert recommend_topk_batch(p, grid, k).tolist() == [recommend_topk(p, x, k) for x in grid]
+
+
+def test_batch_ranking_spans_blocks_on_a_large_catalog():
+    # 3,000 items leave room for 10 prefixes per score block
+    rng = np.random.default_rng(9)
+    src = rng.integers(0, 3000, size=3000)
+    p = rand_params(rng, v=3000, d=4)
+    p = RecommenderParams(p.emb[src], p.bias[src], p.gamma)
+    prefixes = [list(rng.integers(0, 3000, size=n)) for n in rng.integers(1, 4, size=45)]
+    blocks = list(score_blocks(p, prefixes))
+    assert len(blocks) > 3
+    for rows, scores in blocks:
+        for r, row in zip(rows, scores):
+            assert np.array_equal(row, forward_scores(p, prefixes[r]))
+    got = recommend_topk_batch(p, prefixes, 50).tolist()
+    assert got == [recommend_topk(p, x, 50) for x in prefixes]
+
+
+@pytest.mark.parametrize("bad", [[[1], [-1]], [[2, 10]], [[1], []]])
+def test_batch_ranking_rejects_bad_prefixes(bad):
+    p = rand_params(np.random.default_rng(8), v=10, d=3)
+    with pytest.raises(ValueError):
+        recommend_topk_batch(p, bad, 3)
+    with pytest.raises(ValueError):
+        recommend_topk_batch(p, [[1]], 11)
 
 
 # --------------------------------------------------------------- serialization

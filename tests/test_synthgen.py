@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recattack.oracle import BlackBox
+from recattack.oracle import BlackBox, BudgetExhausted, QuerySet
 from recattack.recmodel import RecommenderParams
 from recattack.synthgen import SamplerPolicy, generate_sequences
 
@@ -101,3 +102,96 @@ def test_preconditions():
         generate_sequences(bb, SamplerPolicy("uniform"), count=1, maxlen=1, seed=0)
     with pytest.raises(ValueError):
         generate_sequences(bb, SamplerPolicy("uniform"), count=0, maxlen=3, seed=0)
+
+
+def test_underflowing_policy_weights_rejected():
+    with pytest.raises(ValueError):
+        SamplerPolicy("rank_temperature", tau=1e-3).position_weights(5)
+    bb = BlackBox(victim(), k=4)
+    with pytest.raises(ValueError):
+        generate_sequences(bb, SamplerPolicy("rank_temperature", tau=1e-3),
+                           count=2, maxlen=3, seed=0)
+    assert bb.used == 0
+
+
+def sequential_reference(bb, policy, count, maxlen, seed):
+    """One query per step, one sequence after another, drawing as it goes."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        seq = [int(rng.integers(bb.num_items))]
+        while len(seq) < maxlen:
+            try:
+                ranked = bb.query(seq)
+            except BudgetExhausted:
+                return QuerySet(pairs=pairs, truncated=True)
+            pairs.append((tuple(seq), ranked))
+            w = policy.position_weights(len(ranked))
+            seq.append(int(ranked[rng.choice(len(ranked), p=w)]))
+    return QuerySet(pairs=pairs, truncated=False)
+
+
+policies = st.one_of(
+    st.just(SamplerPolicy("uniform")),
+    st.floats(0.05, 0.95).map(lambda a: SamplerPolicy("position_decay", alpha=a)),
+    st.floats(0.1, 5.0).map(lambda t: SamplerPolicy("rank_temperature", tau=t)),
+)
+
+
+def tied_victim(v, seed):
+    # duplicated embedding rows and biases: exact ties in every ranking
+    p = victim(v=v, d=3, seed=seed)
+    src = np.random.default_rng(seed).integers(0, v, size=v)
+    return RecommenderParams(p.emb[src], p.bias[src], p.gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    policy=policies,
+    v=st.integers(1, 12),
+    ties=st.booleans(),
+    count=st.integers(1, 8),
+    maxlen=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_lockstep_equals_sequential_reference(policy, v, ties, count, maxlen, seed, data):
+    vic = tied_victim(v, seed % 1000) if ties else victim(v=v, seed=seed % 1000)
+    k = data.draw(st.integers(1, v))
+    budget = data.draw(st.none() | st.integers(0, count * (maxlen - 1) + 2))
+    fast, slow = BlackBox(vic, k=k, budget=budget), BlackBox(vic, k=k, budget=budget)
+    got = generate_sequences(fast, policy, count, maxlen, seed)
+    want = sequential_reference(slow, policy, count, maxlen, seed)
+    assert got.pairs == want.pairs
+    assert got.truncated == want.truncated
+    assert fast.used == slow.used == len(got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    policy=policies,
+    ties=st.booleans(),
+    count=st.integers(1, 6),
+    maxlen=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_budgeted_query_set_is_prefix_of_unbudgeted(policy, ties, count, maxlen, seed):
+    vic = tied_victim(9, seed % 1000) if ties else victim(v=9, seed=seed % 1000)
+    full = generate_sequences(BlackBox(vic, k=4), policy, count, maxlen, seed)
+    total = count * (maxlen - 1)
+    assert len(full) == total and not full.truncated
+    for budget in range(total + 2):
+        bb = BlackBox(vic, k=4, budget=budget)
+        part = generate_sequences(bb, policy, count, maxlen, seed)
+        assert part.pairs == full.pairs[:budget]
+        assert part.truncated == (budget < total)
+        assert bb.used == min(budget, total)
+
+
+def test_log_holds_every_charged_pair():
+    bb = BlackBox(victim(), k=4, budget=13, log_queries=True)
+    qs = generate_sequences(bb, SamplerPolicy("position_decay", alpha=0.6),
+                            count=4, maxlen=6, seed=4)
+    log = bb.drain_log()
+    assert len(log) == bb.used == len(qs) == 13
+    assert sorted(log.pairs) == sorted(qs.pairs)
