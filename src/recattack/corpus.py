@@ -9,7 +9,9 @@ counts into Jaccard or positive-PMI relatedness scores.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,30 @@ class CoMatrix:
     @property
     def num_items(self) -> int:
         return int(self.item_counts.shape[0])
+
+    @cached_property
+    def _lookup(self):
+        """(indptr, indices, data, item_counts) for scalar `corel`, built once.
+
+        indptr and item_counts are lists; indices and data are memoryviews
+        of a canonical CSR (sorted column ids, no duplicates), so row i's
+        count for column j is one bisection. A non-canonical `pair_counts`
+        is canonicalised on a copy; the caller's matrix is never changed.
+        """
+        pc = self.pair_counts
+        if not pc.has_canonical_format:
+            pc = pc.copy()
+            pc.sum_duplicates()
+        return (
+            pc.indptr.tolist(),
+            memoryview(pc.indices),
+            memoryview(pc.data),
+            self.item_counts.tolist(),
+        )
+
+    def __getstate__(self):
+        # memoryviews do not pickle; the lookup is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_lookup"}
 
 
 def _parse_event_line(line: str, lineno: int):
@@ -241,15 +267,22 @@ def corel(m: CoMatrix, i: int, j: int, kind: str = "jaccard") -> float:
     for i == j by convention (self items are excluded from neighbor lists).
     Position-pair counting lets c(i,j) exceed c(i)+c(j)-c(i,j) when an item
     repeats inside the window, so the jaccard denominator is floored at
-    c(i,j) to keep the score in [0, 1].
+    c(i,j) to keep the score in [0, 1]. c(i,j) is found by bisecting row i
+    of the canonical CSR counts; ids outside [0, V) raise ValueError.
     """
     if kind not in COREL_KINDS:
         raise ValueError(f"unknown corel kind {kind!r}")
+    indptr, indices, data, counts = m._lookup
+    v = len(counts)
+    if not (0 <= i < v and 0 <= j < v):
+        raise ValueError(f"item pair ({i}, {j}) outside [0, {v})")
     if i == j:
         return 1.0
-    cij = float(m.pair_counts[i, j])
-    ci = float(m.item_counts[i])
-    cj = float(m.item_counts[j])
+    lo, hi = indptr[i], indptr[i + 1]
+    at = bisect_left(indices, j, lo, hi)
+    cij = float(data[at]) if at < hi and indices[at] == j else 0.0
+    ci = float(counts[i])
+    cj = float(counts[j])
     if kind == "jaccard":
         denom = max(ci + cj - cij, cij)
         return cij / denom if denom > 0 else 0.0

@@ -259,8 +259,13 @@ def distill_train(
     v = out.num_items
     p_b = cognitive_distribution(klen, cfg.alpha, cfg.tau_b)
     pool = PrefixPool.of([p for p, _ in queries.pairs], v, out.gamma)
-    ranked = np.asarray([r for _, r in queries.pairs], dtype=np.int64)
-    if ranked.min() < 0 or ranked.max() >= v:
+    # int32 halves the largest array of the stage; an id past int32 cannot
+    # be below v either
+    try:
+        ranked = np.asarray([r for _, r in queries.pairs], dtype=np.int32)
+    except OverflowError:
+        ranked = None
+    if ranked is None or ranked.min() < 0 or ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
 
     rng = np.random.default_rng(cfg.train.seed)

@@ -1,9 +1,15 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from recattack.corpus import (
     COREL_KINDS,
+    CoMatrix,
     CorpusFormatError,
     EmptyCorpusError,
     InteractionCorpus,
@@ -15,6 +21,7 @@ from recattack.corpus import (
     save_corpus,
     topk_neighbors,
 )
+from recattack.evalkit import plausibility_score
 
 
 def make_corpus(seqs):
@@ -307,3 +314,80 @@ def test_corel_row_equals_scalar_bit_for_bit(seqs, window):
         scalar = [corel(m, int(i), int(j), kind) for i, j in zip(a, b)]
         rows = [corel_row(m, t, kind)[j] for j, t in zip(a, b)]
         assert rows == scalar
+
+
+def reference_corel(m, i, j, kind):
+    """The relatedness formula on scipy's own element lookup."""
+    if i == j:
+        return 1.0
+    cij = float(m.pair_counts[i, j])
+    ci = float(m.item_counts[i])
+    cj = float(m.item_counts[j])
+    if kind == "jaccard":
+        denom = max(ci + cj - cij, cij)
+        return cij / denom if denom > 0 else 0.0
+    if cij <= 0 or ci <= 0 or cj <= 0:
+        return 0.0
+    return max(0.0, math.log(cij * m.total_positions / (ci * cj)))
+
+
+@st.composite
+def raw_comatrices(draw):
+    """CoMatrix over a CSR built from raw arrays: column ids in drawn order
+    within each row, repeated ids, explicit zeros."""
+    v = draw(st.integers(1, 7))
+    entries = draw(st.lists(
+        st.tuples(st.integers(0, v - 1), st.integers(0, v - 1), st.integers(0, 6)),
+        max_size=30,
+    ))
+    entries.sort(key=lambda e: e[0])  # stable: keeps the drawn column order
+    indptr = np.searchsorted([r for r, _, _ in entries], np.arange(v + 1))
+    pair = sparse.csr_matrix(
+        (
+            np.array([n for _, _, n in entries], dtype=np.int64),
+            np.array([c for _, c, _ in entries], dtype=np.int32),
+            indptr,
+        ),
+        shape=(v, v),
+    )
+    counts = np.array(draw(st.lists(st.integers(0, 12), min_size=v, max_size=v)), dtype=np.int64)
+    return CoMatrix(pair, counts, draw(st.integers(1, 60)), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=raw_comatrices())
+def test_corel_equals_scipy_lookup_bit_for_bit(m):
+    pc = m.pair_counts
+    arrays = (pc.indptr, pc.indices, pc.data)
+    before = [a.copy() for a in arrays]
+    v = m.num_items
+    got = {(i, j, kind): corel(m, i, j, kind)
+           for kind in COREL_KINDS for i in range(v) for j in range(v)}
+    # the caller's matrix keeps its arrays and their contents
+    assert m.pair_counts is pc
+    assert all(a is b for a, b in zip((pc.indptr, pc.indices, pc.data), arrays))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    for (i, j, kind), value in got.items():
+        assert value == reference_corel(m, i, j, kind), (i, j, kind)
+
+
+def test_corel_rejects_ids_outside_catalog():
+    c = make_corpus([[0, 1, 2, 3], [3, 2, 1, 0]])
+    m = build_comatrix(c, window=2)
+    v = m.num_items
+    for i, j in ((-1, 3), (3, -1), (v, 3), (3, v), (-1, -1), (v, v), (v + 7, v + 7)):
+        for kind in COREL_KINDS:
+            with pytest.raises(ValueError):
+                corel(m, i, j, kind)
+    with pytest.raises(ValueError):
+        plausibility_score([-1, 3, 2], m)
+    assert corel(m, v - 1, v - 1) == 1.0
+
+
+def test_comatrix_copies_after_corel():
+    c = make_corpus([[0, 1, 2, 3], [3, 2, 1, 0]])
+    m = build_comatrix(c, window=2)
+    want = [corel(m, i, j, kind) for kind in COREL_KINDS for i in range(4) for j in range(4)]
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert [corel(twin, i, j, kind)
+                for kind in COREL_KINDS for i in range(4) for j in range(4)] == want

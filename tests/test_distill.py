@@ -407,7 +407,8 @@ def test_distill_step_grads_match_finite_differences():
 
 
 @pytest.mark.parametrize("prefix, ranked", [((3, -1), (0, 1, 2)), ((3, 20), (0, 1, 2)),
-                                            ((3,), (0, -1, 2))])
+                                            ((3,), (0, -1, 2)), ((3,), (0, 2**31, 2)),
+                                            ((3,), (0, -(2**31) - 1, 2))])
 def test_distill_train_rejects_ids_outside_vocabulary(prefix, ranked):
     qs = QuerySet(pairs=[((1, 2), (0, 1, 2)), (prefix, ranked)])
     with pytest.raises(ValueError):
