@@ -6,24 +6,30 @@ directory, so stages can run in one process or as separate invocations that
 resume from files. A whole run is reproducible from (config, seed); the
 report embeds the resolved config and its hash, and its canonical bytes are
 stable across reruns once the timing block is excluded.
+
+Both studies run arms: a label, a sub-directory and dotted-key overrides of
+the parent config. Corpus, victim and synthesize run once; each arm's stages
+use their in-memory products and a fresh oracle, and each arm directory gets
+copies of the shared artifacts and stage records, so it is complete and
+later stage commands resume from it.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
 import logging
 import math
+import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import attack as atk
-from .config import STAGES, ExperimentConfig
+from .config import SCHEMA, STAGES, ExperimentConfig, _rebuild
 from .corpus import (
     CoMatrix,
     InteractionCorpus,
@@ -49,9 +55,17 @@ ARTIFACTS = {
     "surrogate": "surrogate.params",
     "polluted": "polluted.tsv",
 }
+# what the shared stages leave in the parent directory, copied into every arm
+_SHARED_FILES = ("corpus.txt", "victim.params", "queries.tsv", "stage_corpus.json",
+                 "stage_victim.json", "stage_synthesize.json")
 
-LOSS_ARMS = ("kl_only", "pair_only", "combined")
-SIGNAL_ARMS = ("grad_only", "collab_only", "dual")
+# ablation arm name -> its dotted-key overrides
+LOSS_ARMS = {"kl_only": {"distill.lam": "0"}, "pair_only": {"distill.lam": "1"}, "combined": {}}
+SIGNAL_ARMS = {
+    "grad_only": {"attack.w_g": "1", "attack.w_s": "0"},
+    "collab_only": {"attack.w_g": "0", "attack.w_s": "1"},
+    "dual": {},
+}
 
 
 @dataclass
@@ -125,17 +139,17 @@ def report_bytes_without_timing(path) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
+@dataclass
 class _Context:
     """Mutable carrier of in-memory stage products within one invocation."""
 
-    def __init__(self):
-        self.corpus: InteractionCorpus | None = None
-        self.split = None
-        self.comatrix: CoMatrix | None = None
-        self.victim = None
-        self.blackbox: BlackBox | None = None
-        self.queries = None
-        self.surrogate = None
+    corpus: InteractionCorpus | None = None
+    split: object = None
+    comatrix: CoMatrix | None = None
+    victim: object = None
+    blackbox: BlackBox | None = None
+    queries: object = None
+    surrogate: object = None
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -249,12 +263,15 @@ def agreement_metrics(victim, surrogate, prefixes, ks) -> dict:
 
 
 def _stage_corpus(cfg, ctx: _Context) -> dict:
+    saved = _out(cfg) / ARTIFACTS["corpus"]
     if cfg.corpus_path:
         corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
+        save_corpus(corpus, saved)
     else:
-        corpus = gen_synthetic_corpus(cfg.synthetic)
+        save_corpus(gen_synthetic_corpus(cfg.synthetic), saved)
+        # later stages get what a later invocation reloads: users 0, 1, ...
+        corpus = load_corpus(saved, "sequence_lines")
     ctx.corpus = corpus
-    save_corpus(corpus, _out(cfg) / ARTIFACTS["corpus"])
     lengths = [len(s) for s in corpus.sequences]
     return {
         "num_users": len(corpus),
@@ -440,18 +457,21 @@ _STAGE_FUNCS = {
 }
 
 
-def run_pipeline(cfg: ExperimentConfig, arm: str | None = None) -> ExperimentReport:
+def run_pipeline(
+    cfg: ExperimentConfig, arm: str | None = None, ctx: _Context | None = None
+) -> ExperimentReport:
     """Run the enabled stages in order and emit the experiment report.
 
     Stage products are persisted under cfg.out_dir with stable names; a stage
     whose inputs were produced by an earlier invocation reloads them from
-    there. Any stage error aborts with the stage name; artifacts already
-    written stay on disk.
+    there, unless `ctx` already holds them in memory (the study drivers pass
+    each arm the shared stages' products). Any stage error aborts with the
+    stage name; artifacts already written stay on disk.
     """
     for stage in cfg.stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-    ctx = _Context()
+    ctx = _Context() if ctx is None else ctx
     executed: dict[str, dict] = {}
     timing: dict[str, float] = {}
     report = None
@@ -482,76 +502,68 @@ def run_pipeline(cfg: ExperimentConfig, arm: str | None = None) -> ExperimentRep
     return report
 
 
-def _victim_hash(out_dir) -> str:
-    blob = (Path(out_dir) / ARTIFACTS["victim"]).read_bytes()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _override(cfg: ExperimentConfig, flat: dict[str, str]) -> ExperimentConfig:
+    """cfg with dotted-key overrides applied through the schema's parsers and
+    each section's checks; seeds are not re-derived, so only those fields change."""
+    return _rebuild(cfg, (), {SCHEMA[key][0]: SCHEMA[key][1](text) for key, text in flat.items()})
 
 
-def _clone_for_arm(cfg: ExperimentConfig, sub: str) -> ExperimentConfig:
-    arm_cfg = copy.deepcopy(cfg)
-    arm_cfg.out_dir = str(Path(cfg.out_dir) / sub)
-    return arm_cfg
+def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport]:
+    """Run the shared stages once, then `stages` once per arm; one report per arm.
 
-
-def _seed_arm_dir(cfg: ExperimentConfig, arm_cfg: ExperimentConfig) -> None:
-    src = Path(cfg.out_dir)
-    dst = _out(arm_cfg)
-    for name in (ARTIFACTS["corpus"], ARTIFACTS["victim"], ARTIFACTS["queries"]):
-        (dst / name).write_bytes((src / name).read_bytes())
-    for stage in ("corpus", "victim", "synthesize"):
-        metrics = _read_stage_metrics(cfg, stage)
-        if metrics is not None:
-            _write_stage_metrics(arm_cfg, stage, metrics)
-
-
-def _shared_prefix(cfg: ExperimentConfig) -> None:
-    shared = _clone_for_arm(cfg, ".")
-    shared.out_dir = cfg.out_dir
-    shared.stages = ("corpus", "victim", "synthesize")
-    run_pipeline(shared)
+    An arm is (label, sub-directory, {dotted key: text}). All arm configs are
+    built before any stage runs. Arms share the parent's in-memory products,
+    so an override may only touch what the arm's own stages read; each gets a
+    fresh oracle and copies of the shared files. Every run goes through
+    run_pipeline, whose report timing bench/tracing.py reads per stage.
+    """
+    configs = [
+        (label, _override(
+            cfg, {**overrides, "out_dir": str(Path(cfg.out_dir) / sub), "stages": stages}
+        ))
+        for label, sub, overrides in arms
+    ]
+    shared = _Context()
+    run_pipeline(_override(cfg, {"stages": "corpus,victim,synthesize"}), ctx=shared)
+    reports = []
+    for label, arm_cfg in configs:
+        for name in _SHARED_FILES:
+            shutil.copyfile(Path(cfg.out_dir) / name, _out(arm_cfg) / name)
+        ctx = replace(shared, blackbox=None)  # the oracle and its count stay per arm
+        reports.append(run_pipeline(arm_cfg, label, ctx))
+        shared.comatrix = ctx.comatrix
+    return reports
 
 
 def run_ablation(cfg: ExperimentConfig, arms) -> list[dict]:
     """Run distill+attack per (loss, signal) arm on a shared victim/query set.
 
     `arms` is an iterable of "loss+signal" strings or (loss, signal) pairs,
-    loss in {kl_only, pair_only, combined}, signal in {grad_only,
-    collab_only, dual}. Returns one metrics row per arm and writes
-    ablation.csv / ablation.txt.
+    loss in LOSS_ARMS, signal in SIGNAL_ARMS. Returns one metrics row per arm
+    and writes ablation.csv / ablation.txt.
     """
     parsed = []
     for arm in arms:
-        if isinstance(arm, str):
-            parts = tuple(arm.split("+"))
-        else:
-            parts = tuple(arm)
+        parts = tuple(arm.split("+")) if isinstance(arm, str) else tuple(arm)
         if len(parts) != 2 or parts[0] not in LOSS_ARMS or parts[1] not in SIGNAL_ARMS:
             raise ConfigError(
-                f"bad arm {arm!r}; expected loss in {LOSS_ARMS} and signal in {SIGNAL_ARMS}"
+                f"bad arm {arm!r}; expected loss in {tuple(LOSS_ARMS)} "
+                f"and signal in {tuple(SIGNAL_ARMS)}"
             )
         if parts not in parsed:
             parsed.append(parts)
     if len(parsed) < 2:
         raise ConfigError("ablation needs at least 2 distinct arms")
 
-    _shared_prefix(cfg)
-    victim_hash = _victim_hash(cfg.out_dir)
+    reports = _run_arms(cfg, [
+        (f"{loss}+{signal}", f"arm_{loss}_{signal}", {**LOSS_ARMS[loss], **SIGNAL_ARMS[signal]})
+        for loss, signal in parsed
+    ], "distill,attack,evaluate")
+    victim_blob = (Path(cfg.out_dir) / ARTIFACTS["victim"]).read_bytes()
+    victim_hash = hashlib.sha256(victim_blob).hexdigest()[:16]
     rows = []
-    for loss_arm, signal_arm in parsed:
-        label = f"{loss_arm}+{signal_arm}"
-        arm_cfg = _clone_for_arm(cfg, f"arm_{loss_arm}_{signal_arm}")
-        if loss_arm == "kl_only":
-            arm_cfg.distill.lam = 0.0
-        elif loss_arm == "pair_only":
-            arm_cfg.distill.lam = 1.0
-        if signal_arm == "grad_only":
-            arm_cfg.attack.w_g, arm_cfg.attack.w_s = 1.0, 0.0
-        elif signal_arm == "collab_only":
-            arm_cfg.attack.w_g, arm_cfg.attack.w_s = 0.0, 1.0
-        arm_cfg.stages = ("distill", "attack", "evaluate")
-        _seed_arm_dir(cfg, arm_cfg)
-        report = run_pipeline(arm_cfg, arm=label)
-        row = {"arm": label, "victim_hash": victim_hash}
+    for report in reports:
+        row = {"arm": report.arm, "victim_hash": victim_hash}
         for key in ("agr@1", f"agr@{max(cfg.eval_ks)}"):
             if key in report.stages.get("distill", {}):
                 row[key] = report.stages["distill"][key]
@@ -575,14 +587,12 @@ def run_ablation(cfg: ExperimentConfig, arms) -> list[dict]:
 def run_alpha_sweep(cfg: ExperimentConfig, alphas) -> list[dict]:
     """Distill once per decay value on a shared query set; tabulate agreement.
 
-    Duplicate alphas are dropped with a warning. Writes alpha_sweep.csv
-    (plot data) and returns the rows.
+    Duplicate alphas are dropped with a warning; a value outside (0, 1) is
+    distill.alpha's config error. Writes alpha_sweep.csv (plot data) and
+    returns the rows.
     """
     uniq = []
-    for a in alphas:
-        a = float(a)
-        if not (0.0 < a < 1.0):
-            raise ConfigError("alpha values must lie in (0, 1)")
+    for a in map(float, alphas):
         if a in uniq:
             log.warning("duplicate alpha %s dropped", a)
             continue
@@ -590,23 +600,13 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas) -> list[dict]:
     if not uniq:
         raise ConfigError("no alpha values given")
 
-    _shared_prefix(cfg)
+    reports = _run_arms(cfg, [
+        (f"alpha={a:g}", f"alpha_{a:g}", {"distill.alpha": repr(a)}) for a in uniq
+    ], "distill,evaluate")
     rows = []
-    for a in uniq:
-        arm_cfg = _clone_for_arm(cfg, f"alpha_{a:g}")
-        arm_cfg.distill.alpha = a
-        arm_cfg.stages = ("distill", "evaluate")
-        _seed_arm_dir(cfg, arm_cfg)
-        report = run_pipeline(arm_cfg, arm=f"alpha={a:g}")
-        row = {"alpha": a}
-        row.update(
-            {
-                key: val
-                for key, val in report.stages.get("distill", {}).items()
-                if key.startswith("agr@")
-            }
-        )
-        rows.append(row)
+    for a, report in zip(uniq, reports):
+        distill = report.stages.get("distill", {})
+        rows.append({"alpha": a, **{k: v for k, v in distill.items() if k.startswith("agr@")}})
 
     keys = ["alpha"] + sorted({k for row in rows for k in row if k != "alpha"})
     with open(Path(cfg.out_dir) / "alpha_sweep.csv", "w", newline="", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -304,6 +305,8 @@ def test_pipeline_stagewise_resume_matches_single_run(tmp_path):
     assert staged_attack.pop("oracle_used") == staged_attack["attack_queries"]
     full_attack.pop("oracle_used")
     assert staged_attack == full_attack
+    for name in ("corpus.txt", "victim.params", "queries.tsv", "surrogate.params", "polluted.tsv"):
+        assert (staged_dir / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
 
 def test_pipeline_budget_truncation_flagged(tmp_path):
@@ -359,6 +362,52 @@ def test_alpha_sweep_validates_range(tmp_path):
         run_alpha_sweep(cfg, [1.5])
 
 
+# (argument, report label, sub-directory, dotted overrides) per arm, and the
+# stages every arm runs
+STUDIES = {
+    "ablation": (run_ablation, "distill,attack,evaluate", [
+        ("combined+dual", "combined+dual", "arm_combined_dual", {}),
+        ("kl_only+grad_only", "kl_only+grad_only", "arm_kl_only_grad_only",
+         {"distill.lam": "0", "attack.w_g": "1", "attack.w_s": "0"}),
+        ("pair_only+collab_only", "pair_only+collab_only", "arm_pair_only_collab_only",
+         {"distill.lam": "1", "attack.w_g": "0", "attack.w_s": "1"}),
+    ]),
+    "sweep": (run_alpha_sweep, "distill,evaluate", [
+        (0.7, "alpha=0.7", "alpha_0.7", {"distill.alpha": "0.7"}),
+        (0.9, "alpha=0.9", "alpha_0.9", {"distill.alpha": "0.9"}),
+    ]),
+}
+SHARED_FILES = ("corpus.txt", "victim.params", "queries.tsv", "stage_corpus.json",
+                "stage_victim.json", "stage_synthesize.json")
+
+
+def _arm_outputs(arm_dir) -> dict:
+    # every file byte for byte, the report without its wall-clock timing
+    out = {p.name: p.read_bytes() for p in arm_dir.iterdir()
+           if p.name not in ("report.json", "report.txt")}
+    out["report.json"] = report_bytes_without_timing(arm_dir / "report.json")
+    return out
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_arms_on_shared_products_equal_file_resumed_arms_in_any_order(tmp_path, study):
+    run_study, stages, arms = STUDIES[study]
+    study_dir = tmp_path / "study"
+    for order, listed in (("forward", arms), ("reverse", arms[::-1])):
+        run_study(tiny_config(study_dir), [arm[0] for arm in listed])
+        study_dir.rename(tmp_path / order)
+    for _, label, sub, overrides in arms:
+        want = _arm_outputs(tmp_path / "forward" / sub)
+        assert _arm_outputs(tmp_path / "reverse" / sub) == want, sub
+        # the same arm alone, in a fresh process state, resuming from files
+        arm_dir = study_dir / sub
+        arm_dir.mkdir(parents=True)
+        for name in SHARED_FILES:
+            shutil.copyfile(tmp_path / "forward" / name, arm_dir / name)
+        run_pipeline(tiny_config(arm_dir, {**overrides, "stages": stages}), arm=label)
+        assert _arm_outputs(arm_dir) == want, sub
+
+
 # ------------------------------------------------------------------------- CLI
 
 
@@ -400,6 +449,26 @@ def test_cli_section_range_checks_exit_1_before_any_stage(tmp_path, capsys):
         assert cli.main(["pipeline", "--out", str(out), "--set", setting]) == 1
         assert f"config error: {setting.split('.')[0]}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_alpha_sweep_bad_alpha_exits_1_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(cli_args("alpha-sweep", out, ["--alphas", "0.7,1.5"])) == 1
+    assert "distill: alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_ablation_single_arm_exits_1(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(cli_args("ablation", out, ["--arms", "combined+dual"])) == 1
+    assert not out.exists()
+
+
+def test_cli_ablation_writes_table(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(cli_args("ablation", out, ["--arms", "combined+dual,kl_only+grad_only"])) == 0
+    lines = (out / "ablation.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[0].startswith("agr@1,")
 
 
 def test_cli_stage_failure_exits_2(tmp_path, capsys):
