@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 
-from .config import load_config
+from .config import load_config, parse_value
 from .errors import ConfigError, StageError
 from .harness import run_ablation, run_alpha_sweep, run_pipeline
 
@@ -102,8 +102,9 @@ def main(argv=None) -> int:
             for row in rows:
                 print(row)
         else:
+            alphas = args.alphas.split(",")
             rows = run_alpha_sweep(
-                cfg, [float(a) for a in args.alphas.split(",") if a.strip()]
+                cfg, [parse_value("distill.alpha", a)[1] for a in alphas if a.strip()]
             )
             for row in rows:
                 print(row)

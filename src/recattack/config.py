@@ -236,19 +236,23 @@ def _rebuild(obj, prefix: tuple[str, ...], values: dict):
         raise ConfigError(f"{_dotted(prefix)}: {exc}") from None
 
 
+def parse_value(key: str, raw: str):
+    """(attribute path, parsed value) of one dotted key; a ConfigError names
+    an unknown key or a value its parser rejects."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    path, parse = SCHEMA[key]
+    try:
+        return path, parse(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+
+
 def build_config(flat: dict[str, str]) -> ExperimentConfig:
     """Apply flat overrides to defaults, then derive unset stage seeds."""
-    values: dict[tuple[str, ...], object] = {}
-    for key, raw in flat.items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        path, parse = SCHEMA[key]
-        try:
-            values[path] = parse(raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+    values = dict(parse_value(key, raw) for key, raw in flat.items())
     seed = values.get(("seed",), ExperimentConfig.seed)
     for key, (path, _) in SCHEMA.items():
         if len(path) > 1 and path[-1].endswith("seed") and path not in values:

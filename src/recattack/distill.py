@@ -12,15 +12,12 @@ the surrogate can be trained without an autodiff framework.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .oracle import QuerySet
-from .recmodel import PrefixPool, RecommenderParams, TrainConfig, TrainingDiverged, adam_step
-
-log = logging.getLogger(__name__)
+from .recmodel import PrefixPool, RecommenderParams, TrainConfig, _fit
 
 
 @dataclass
@@ -253,12 +250,9 @@ def distill_train(
     klen = len(queries.pairs[0][1])
     if any(len(r) != klen for _, r in queries.pairs):
         raise ValueError("all rankings in the query set must share one length")
-    out = init.copy()
-    if cfg.train.epochs == 0:
-        return out
-    v = out.num_items
+    v = init.num_items
     p_b = cognitive_distribution(klen, cfg.alpha, cfg.tau_b)
-    pool = PrefixPool.of([p for p, _ in queries.pairs], v, out.gamma)
+    pool = PrefixPool.of([p for p, _ in queries.pairs], v, init.gamma)
     # int32 halves the largest array of the stage; an id past int32 cannot
     # be below v either
     try:
@@ -268,30 +262,9 @@ def distill_train(
     if ranked is None or ranked.min() < 0 or ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
 
-    rng = np.random.default_rng(cfg.train.seed)
-    tc = cfg.train
-    m_emb = np.zeros_like(out.emb)
-    v_emb = np.zeros_like(out.emb)
-    m_bias = np.zeros_like(out.bias)
-    v_bias = np.zeros_like(out.bias)
-    step = 0
-    n = len(queries)
-    for epoch in range(tc.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, tc.batch_size):
-            sel = order[start : start + tc.batch_size]
-            r_idx = ranked[sel]
-            n_idx = _sample_negatives(rng, r_idx, v, cfg.negatives_per_position)
-            loss, d_emb, d_bias = _distill_step(cfg, out, pool.matrix(sel), r_idx, n_idx, p_b)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite distillation loss at epoch {epoch}, step {step}"
-                )
+    def batch_grads(params, rows, rng):
+        r_idx = ranked[rows]
+        n_idx = _sample_negatives(rng, r_idx, v, cfg.negatives_per_position)
+        return _distill_step(cfg, params, pool.matrix(rows), r_idx, n_idx, p_b)
 
-            step += 1
-            adam_step(out.emb, d_emb, m_emb, v_emb, step, tc)
-            adam_step(out.bias, d_bias, m_bias, v_bias, step, tc)
-            epoch_loss += loss * len(sel)
-        log.debug("distill epoch %d mean loss %.4f", epoch, epoch_loss / n)
-    return out
+    return _fit(init, len(queries), cfg.train, batch_grads)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attack as atk
-from .config import SCHEMA, STAGES, ExperimentConfig, _rebuild
+from .config import STAGES, ExperimentConfig, _rebuild, parse_value
 from .corpus import (
     CoMatrix,
     InteractionCorpus,
@@ -422,7 +422,7 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
     return metrics
 
 
-def _stage_evaluate(cfg, ctx: _Context, executed: dict[str, dict], arm: str | None):
+def _stage_evaluate(cfg, executed: dict[str, dict], arm: str | None):
     report = ExperimentReport(config=cfg.echo(), config_hash=cfg.hash(), arm=arm)
     for stage in STAGES:
         if stage == "evaluate":
@@ -432,11 +432,11 @@ def _stage_evaluate(cfg, ctx: _Context, executed: dict[str, dict], arm: str | No
             metrics = _read_stage_metrics(cfg, stage)
         if metrics is not None:
             report.stages[stage] = metrics
-    used = ctx.blackbox.used if ctx.blackbox is not None else None
-    if used is None:
-        used = sum(
-            m.get("oracle_used", 0) for m in report.stages.values() if "oracle_used" in m
-        )
+    # from the stage records, not this process's oracle, which has not seen
+    # the stages run by earlier invocations; attack's oracle_used would count
+    # synthesis twice when both ran in one process
+    used = (report.stages.get("synthesize", {}).get("oracle_used", 0)
+            + report.stages.get("attack", {}).get("attack_queries", 0))
     report.budget = {"used": int(used), "limit": cfg.resolved_budget()}
     flat = MetricReport()
     for stage, metrics in report.stages.items():
@@ -481,7 +481,7 @@ def run_pipeline(
         start = time.perf_counter()
         try:
             if stage == "evaluate":
-                report = _stage_evaluate(cfg, ctx, executed, arm)
+                report = _stage_evaluate(cfg, executed, arm)
             else:
                 metrics = _STAGE_FUNCS[stage](cfg, ctx)
                 executed[stage] = metrics
@@ -505,7 +505,7 @@ def run_pipeline(
 def _override(cfg: ExperimentConfig, flat: dict[str, str]) -> ExperimentConfig:
     """cfg with dotted-key overrides applied through the schema's parsers and
     each section's checks; seeds are not re-derived, so only those fields change."""
-    return _rebuild(cfg, (), {SCHEMA[key][0]: SCHEMA[key][1](text) for key, text in flat.items()})
+    return _rebuild(cfg, (), dict(parse_value(key, text) for key, text in flat.items()))
 
 
 def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport]:
@@ -601,7 +601,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas) -> list[dict]:
         raise ConfigError("no alpha values given")
 
     reports = _run_arms(cfg, [
-        (f"alpha={a:g}", f"alpha_{a:g}", {"distill.alpha": repr(a)}) for a in uniq
+        (f"alpha={a!r}", f"alpha_{a!r}", {"distill.alpha": repr(a)}) for a in uniq
     ], "distill,evaluate")
     rows = []
     for a, report in zip(uniq, reports):

@@ -264,6 +264,35 @@ def adam_step(value, grad, m, v, step, cfg: TrainConfig) -> None:
     )
 
 
+def _fit(params: RecommenderParams, n: int, cfg: TrainConfig, batch_grads) -> RecommenderParams:
+    """Mini-batch Adam over examples 0..n-1; returns a trained copy of params.
+
+    Each epoch walks a fresh permutation from default_rng(cfg.seed) in
+    batches of cfg.batch_size rows; batch_grads(params, rows, rng) returns
+    (mean loss, d_emb, d_bias) of those rows and may draw from rng after the
+    permutation. Raises TrainingDiverged on a non-finite batch loss.
+    """
+    out = params.copy()
+    rng = np.random.default_rng(cfg.seed)
+    m_emb, v_emb = np.zeros_like(out.emb), np.zeros_like(out.emb)
+    m_bias, v_bias = np.zeros_like(out.bias), np.zeros_like(out.bias)
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            loss, d_emb, d_bias = batch_grads(out, rows, rng)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}: {loss}")
+            step += 1
+            adam_step(out.emb, d_emb, m_emb, v_emb, step, cfg)
+            adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg)
+            epoch_loss += loss * len(rows)
+        log.debug("epoch %d mean loss %.4f", epoch, epoch_loss / n)
+    return out
+
+
 def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> RecommenderParams:
     """Train by next-item CE over every (prefix, next) pair of the train split.
 
@@ -278,48 +307,22 @@ def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> Re
     items, seq_starts, seq_lens = _ragged(seqs)
     starts = np.repeat(seq_starts, seq_lens - 1)
     lengths = np.concatenate([np.arange(1, n) for n in seq_lens])
-    n_pairs = lengths.size
     pool = PrefixPool(items, starts, lengths, params.num_items, params.gamma)
     targets = items[starts + lengths]
-    out = params.copy()
-    if cfg.epochs == 0:
-        return out
-    rng = np.random.default_rng(cfg.seed)
-    m_emb = np.zeros_like(out.emb)
-    v_emb = np.zeros_like(out.emb)
-    m_bias = np.zeros_like(out.bias)
-    v_bias = np.zeros_like(out.bias)
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_pairs)
-        epoch_loss = 0.0
-        for start in range(0, n_pairs, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            loss, d_emb, d_bias, _ = _ce_batch(out, pool.matrix(sel), targets[sel])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite CE loss at epoch {epoch}, step {step}: {loss}"
-                )
-            step += 1
-            adam_step(out.emb, d_emb, m_emb, v_emb, step, cfg)
-            adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg)
-            epoch_loss += loss * len(sel)
-        log.debug("epoch %d mean CE %.4f", epoch, epoch_loss / n_pairs)
-    return out
+    return _fit(
+        params, lengths.size, cfg,
+        lambda p, rows, rng: _ce_batch(p, pool.matrix(rows), targets[rows])[:3],
+    )
 
 
-def recommend_topk(params: RecommenderParams, x, k: int, exclude_seen: bool = False) -> list[int]:
+def recommend_topk(params: RecommenderParams, x, k: int) -> list[int]:
     """Top-k item ids by score, descending, ties broken by ascending id.
 
-    Items already present in x are kept unless exclude_seen is set.
+    Items already present in x are kept.
     """
     if not (1 <= k <= params.num_items):
         raise ValueError("k must be in [1, V]")
-    scores = forward_scores(params, x)
-    if exclude_seen:
-        scores = scores.copy()
-        scores[list(set(int(i) for i in x))] = -np.inf
-    return topk_ids(scores, k).tolist()
+    return topk_ids(forward_scores(params, x), k).tolist()
 
 
 SCORE_BLOCK = 1 << 15  # scores per block: 128 prefixes on a 256-item catalog

@@ -21,6 +21,7 @@ from recattack.recmodel import (
     PrefixPool,
     RecommenderParams,
     TrainConfig,
+    TrainingDiverged,
     forward_scores,
     init_params,
 )
@@ -411,8 +412,17 @@ def test_distill_step_grads_match_finite_differences():
                                             ((3,), (0, -(2**31) - 1, 2))])
 def test_distill_train_rejects_ids_outside_vocabulary(prefix, ranked):
     qs = QuerySet(pairs=[((1, 2), (0, 1, 2)), (prefix, ranked)])
-    with pytest.raises(ValueError):
-        distill_train(qs, DistillConfig(train=TrainConfig(epochs=1)), init_params(20, 4))
+    for epochs in (0, 1):
+        with pytest.raises(ValueError):
+            distill_train(qs, DistillConfig(train=TrainConfig(epochs=epochs)), init_params(20, 4))
+
+
+def test_distill_train_raises_on_non_finite_loss():
+    qs = small_queryset()
+    init = init_params(20, 4, seed=1)
+    init.emb[0] = np.nan
+    with pytest.raises(TrainingDiverged, match="epoch 0, step 0"):
+        distill_train(qs, DistillConfig(train=TrainConfig(epochs=1)), init)
 
 
 def test_distill_train_needs_negative_headroom():

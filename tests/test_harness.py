@@ -7,6 +7,7 @@ import pytest
 
 from recattack.config import (
     SCHEMA,
+    STAGES,
     ExperimentConfig,
     build_config,
     load_config,
@@ -309,6 +310,22 @@ def test_pipeline_stagewise_resume_matches_single_run(tmp_path):
         assert (staged_dir / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("first", [
+    ("corpus", "victim", "synthesize", "distill", "attack"),
+    ("corpus", "victim", "synthesize", "distill"),
+])
+def test_separate_evaluate_counts_oracle_queries_like_one_shot_run(tmp_path, first):
+    full = run_pipeline(tiny_config(tmp_path / "full"))
+    cfg = tiny_config(tmp_path / "split")
+    cfg.stages = first
+    run_pipeline(cfg)
+    cfg.stages = tuple(s for s in STAGES if s not in first)
+    report = run_pipeline(cfg)
+    assert report.budget == full.budget
+    assert report.budget["used"] == (full.stages["synthesize"]["oracle_used"]
+                                     + full.stages["attack"]["attack_queries"])
+
+
 def test_pipeline_budget_truncation_flagged(tmp_path):
     cfg = tiny_config(tmp_path / "out", extra={"oracle.budget": "40"})
     cfg.stages = ("corpus", "victim", "synthesize")
@@ -354,6 +371,18 @@ def test_alpha_sweep_rows_and_dedup(tmp_path, caplog):
     assert (tmp_path / "out" / "alpha_sweep.csv").exists()
     for row in rows:
         assert "agr@1" in row and "agr@5" in row
+
+
+def test_alpha_sweep_gives_each_distinct_alpha_its_directory(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    rows = run_alpha_sweep(cfg, [0.7, 0.7000001])
+    assert [r["alpha"] for r in rows] == [0.7, 0.7000001]
+    arms = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir())
+    assert arms == ["alpha_0.7", "alpha_0.7000001"]
+    for arm in arms:
+        report = json.loads((tmp_path / "out" / arm / "report.json").read_text())
+        assert report["arm"] == arm.replace("_", "=")
+        assert report["config"]["distill"]["alpha"] == float(arm.split("_")[1])
 
 
 def test_alpha_sweep_validates_range(tmp_path):
@@ -455,6 +484,13 @@ def test_cli_alpha_sweep_bad_alpha_exits_1_before_any_stage(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(cli_args("alpha-sweep", out, ["--alphas", "0.7,1.5"])) == 1
     assert "distill: alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_alpha_sweep_unparsable_alpha_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(cli_args("alpha-sweep", out, ["--alphas", "0.7,abc"])) == 1
+    assert "config error: bad value for 'distill.alpha': 'abc'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from recattack.recmodel import (
     PrefixPool,
     RecommenderParams,
     TrainConfig,
+    TrainingDiverged,
     _ce_batch,
     appended_scores,
     ce_last_row_grad,
@@ -295,6 +296,14 @@ def test_train_deterministic_per_seed():
     assert (a.emb == b.emb).all() and (a.bias == b.bias).all()
 
 
+def test_train_raises_on_non_finite_loss():
+    split = leave_one_out_split(one_user_corpus([0, 1, 2, 3]))
+    p = init_params(4, 4, seed=0)
+    p.emb[3] = np.nan  # an item no prefix holds still reaches every score
+    with pytest.raises(TrainingDiverged, match="epoch 0, step 0"):
+        train(p, split, TrainConfig(epochs=1))
+
+
 def test_train_leaves_input_untouched():
     split = leave_one_out_split(one_user_corpus([0, 1, 2, 3]))
     p = init_params(4, 4, seed=0)
@@ -334,11 +343,10 @@ def test_topk_invariant_to_constant_bias_shift():
         assert recommend_topk(p, x, 6) == recommend_topk(shifted, x, 6)
 
 
-def test_topk_exclude_seen_flag():
+def test_topk_keeps_items_already_in_sequence():
     emb = np.zeros((4, 2))
     p = RecommenderParams(emb=emb, bias=np.array([5.0, 4.0, 3.0, 2.0]), gamma=0.8)
     assert recommend_topk(p, [0], 2) == [0, 1]
-    assert recommend_topk(p, [0], 2, exclude_seen=True) == [1, 2]
 
 
 @settings(max_examples=60, deadline=None)
