@@ -33,4 +33,4 @@ print("\nCLI equivalents:")
 print("  recattack pipeline --out demo_out --set corpus.synthetic.num_items=100 ...")
 print("  recattack alpha-sweep --alphas 0.7,0.9,0.97 --out demo_out/sweep ...")
 print("artifacts land under demo_out/: corpus.txt, victim.params, queries.tsv,")
-print("surrogate.params, polluted.tsv, report.{json,txt,csv}, metrics.{json,csv}")
+print("surrogate.params, polluted.tsv, stage_*.json, report.{json,txt,csv}")

@@ -43,7 +43,6 @@ from .distill import (
 )
 from .errors import ConfigError, StageError
 from .evalkit import (
-    MetricReport,
     agreement_at_k,
     ndcg_at_k,
     plausibility_score,

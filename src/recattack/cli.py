@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands map onto pipeline stages (gen-corpus, train-victim, synthesize,
-distill, attack, evaluate), the full pipeline, and the two study drivers
-(ablation, alpha-sweep). Options are dotted config keys via repeated
---set KEY=VALUE; a --config file overrides flag values. Exit codes: 0 ok,
-1 usage/config error, 2 stage failure.
+distill, attack, evaluate), the pipeline, which runs the `stages` key (all
+six by default), and the two study drivers (ablation, alpha-sweep). Options
+are dotted config keys via repeated --set KEY=VALUE; a --config file
+overrides flag values. Every command but pipeline fixes its own stages, so
+setting `stages` for it is a config error. Exit codes: 0 ok, 1 usage/config
+error, 2 stage failure.
 """
 
 from __future__ import annotations
@@ -12,21 +14,23 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
-from .config import load_config, parse_value
+from .config import build_config, parse_config_text, parse_value
 from .errors import ConfigError, StageError
 from .harness import run_ablation, run_alpha_sweep, run_pipeline
 
 log = logging.getLogger(__name__)
 
+# the stage each stage command runs; pipeline runs the `stages` key
 COMMAND_STAGES = {
-    "gen-corpus": ("corpus",),
-    "train-victim": ("victim",),
-    "synthesize": ("synthesize",),
-    "distill": ("distill",),
-    "attack": ("attack",),
-    "evaluate": ("evaluate",),
-    "pipeline": ("corpus", "victim", "synthesize", "distill", "attack", "evaluate"),
+    "gen-corpus": "corpus",
+    "train-victim": "victim",
+    "synthesize": "synthesize",
+    "distill": "distill",
+    "attack": "attack",
+    "evaluate": "evaluate",
+    "pipeline": None,
 }
 
 
@@ -70,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args) -> dict[str, str]:
+def _flat_config(args) -> dict[str, str]:
+    """Every dotted key the command line and the config file set."""
     flat: dict[str, str] = {}
     if args.out:
         flat["out_dir"] = args.out
@@ -81,6 +86,14 @@ def _overrides_from_args(args) -> dict[str, str]:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         flat[key.strip()] = value.strip()
+    if args.config:  # file values win
+        flat.update(parse_config_text(Path(args.config).read_text(encoding="utf-8")))
+    if args.command != "pipeline":
+        if "stages" in flat:
+            raise ConfigError(f"'stages' is fixed by the {args.command} command; "
+                              "set it for pipeline only")
+        if args.command in COMMAND_STAGES:
+            flat["stages"] = COMMAND_STAGES[args.command]
     return flat
 
 
@@ -91,9 +104,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        cfg = build_config(_flat_config(args))
         if args.command in COMMAND_STAGES:
-            cfg.stages = COMMAND_STAGES[args.command]
             report = run_pipeline(cfg)
             if "evaluate" in cfg.stages:
                 print(report.as_text())

@@ -121,8 +121,10 @@ class ExperimentConfig:
         return 20 * self.synth.count * self.synth.maxlen
 
     def echo(self) -> dict:
+        """The experiment's settings. out_dir and stages say where and how a
+        run was invoked, not what it is, so they stay out of echo and hash."""
         d = asdict(self)
-        d["stages"] = list(self.stages)
+        del d["out_dir"], d["stages"]
         d["eval_ks"] = list(self.eval_ks)
         return d
 

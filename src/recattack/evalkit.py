@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
 
 from .corpus import CoMatrix, corel
 
@@ -42,34 +38,3 @@ def plausibility_score(z, m: CoMatrix, kind: str = "jaccard") -> float:
         raise ValueError("sequence must have at least two items")
     vals = [corel(m, a, b, kind) for a, b in zip(seq, seq[1:])]
     return float(sum(vals) / len(vals))
-
-
-@dataclass
-class MetricReport:
-    """Flat name -> value metric record with text/JSON/CSV serialization."""
-
-    values: dict[str, float] = field(default_factory=dict)
-
-    def set(self, name: str, value) -> None:
-        self.values[name] = float(value)
-
-    def get(self, name: str) -> float:
-        return self.values[name]
-
-    def as_text(self) -> str:
-        return "\n".join(f"{k} = {self.values[k]:.6g}" for k in sorted(self.values))
-
-    def to_json(self) -> str:
-        return json.dumps({k: self.values[k] for k in sorted(self.values)}, indent=2)
-
-    def csv_rows(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["metric", "value"])
-        for k in sorted(self.values):
-            writer.writerow([k, repr(self.values[k])])
-        return buf.getvalue()
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls(values={k: float(v) for k, v in json.loads(text).items()})

@@ -7,11 +7,17 @@ resume from files. A whole run is reproducible from (config, seed); the
 report embeds the resolved config and its hash, and its canonical bytes are
 stable across reruns once the timing block is excluded.
 
+The stage records are the run's one account of oracle queries: synthesize
+and attack each record the queries they charged as `oracle_queries`. A
+querying stage's oracle starts from what the earlier stages' records spent,
+and the report's budget is the sum over all records, so a run split over
+several invocations spends and reports what the one-shot run does.
+
 Both studies run arms: a label, a sub-directory and dotted-key overrides of
 the parent config. Corpus, victim and synthesize run once; each arm's stages
-use their in-memory products and a fresh oracle, and each arm directory gets
-copies of the shared artifacts and stage records, so it is complete and
-later stage commands resume from it.
+use their in-memory products, and each arm directory gets copies of the
+shared artifacts and stage records, so it is complete, its oracle is charged
+the shared synthesis, and later stage commands resume from it.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .corpus import (
 )
 from .distill import distill_train
 from .errors import ConfigError, StageError
-from .evalkit import MetricReport, agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
+from .evalkit import agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
 from .oracle import BlackBox, load_queryset, save_queryset
 from .recmodel import init_params, load_params, recommend_topk_batch, save_params, train
 from .synthetic import gen_synthetic_corpus
@@ -147,7 +153,6 @@ class _Context:
     split: object = None
     comatrix: CoMatrix | None = None
     victim: object = None
-    blackbox: BlackBox | None = None
     queries: object = None
     surrogate: object = None
 
@@ -205,16 +210,23 @@ def _ensure_victim(cfg, ctx: _Context):
     return ctx.victim
 
 
-def _ensure_blackbox(cfg, ctx: _Context) -> BlackBox:
-    if ctx.blackbox is None:
-        ctx.blackbox = BlackBox(
-            _ensure_victim(cfg, ctx),
-            k=cfg.oracle.k,
-            budget=cfg.resolved_budget(),
-            # generate_sequences keeps every pair it needs
-            log_queries=False,
-        )
-    return ctx.blackbox
+def _queries_spent(cfg, stages) -> int:
+    """Oracle queries charged by the saved records of `stages`."""
+    return sum((_read_stage_metrics(cfg, stage) or {}).get("oracle_queries", 0)
+               for stage in stages)
+
+
+def _oracle(cfg, ctx: _Context, stage: str) -> BlackBox:
+    """The attacker's black box for `stage`, charged what the records of the
+    stages before it spent."""
+    return BlackBox(
+        _ensure_victim(cfg, ctx),
+        k=cfg.oracle.k,
+        budget=cfg.resolved_budget(),
+        # generate_sequences keeps every pair it needs
+        log_queries=False,
+        spent=_queries_spent(cfg, STAGES[: STAGES.index(stage)]),
+    )
 
 
 def _ensure_queries(cfg, ctx: _Context):
@@ -298,7 +310,7 @@ def _stage_victim(cfg, ctx: _Context) -> dict:
 
 
 def _stage_synthesize(cfg, ctx: _Context) -> dict:
-    bb = _ensure_blackbox(cfg, ctx)
+    bb = _oracle(cfg, ctx, "synthesize")
     policy = SamplerPolicy(kind=cfg.synth.policy, alpha=cfg.synth.alpha, tau=cfg.synth.tau)
     queries = generate_sequences(
         bb, policy, cfg.synth.count, cfg.synth.maxlen, cfg.synth.seed
@@ -308,8 +320,7 @@ def _stage_synthesize(cfg, ctx: _Context) -> dict:
     return {
         "pairs": len(queries),
         "truncated": int(queries.truncated),
-        "oracle_used": bb.used,
-        "oracle_budget": cfg.resolved_budget(),
+        "oracle_queries": bb.used,
     }
 
 
@@ -336,7 +347,7 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
     corpus = _ensure_corpus(cfg, ctx)
     comatrix = _ensure_comatrix(cfg, ctx)
     surrogate = _ensure_surrogate(cfg, ctx)
-    bb = _ensure_blackbox(cfg, ctx)
+    bb = _oracle(cfg, ctx, "attack")
     ac = cfg.attack
     rng = np.random.default_rng(ac.seed)
     n_users = min(ac.num_users, len(corpus))
@@ -352,7 +363,6 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
     )
 
     k = ac.eval_k
-    used_before = bb.used
     agg = {
         "pre_hit": 0.0,
         "post_hit": 0.0,
@@ -415,37 +425,10 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
     metrics["fallback_steps"] = fallback_steps
     metrics["surrogate_prob_gain"] = surrogate_prob_gain / n
     metrics["num_pairs"] = n
-    metrics["attack_queries"] = bb.used - used_before
-    metrics["oracle_used"] = bb.used  # cumulative counter; process-dependent
+    metrics["oracle_queries"] = bb.used
 
     atk.save_polluted_sequences(rows, _out(cfg) / ARTIFACTS["polluted"])
     return metrics
-
-
-def _stage_evaluate(cfg, executed: dict[str, dict], arm: str | None):
-    report = ExperimentReport(config=cfg.echo(), config_hash=cfg.hash(), arm=arm)
-    for stage in STAGES:
-        if stage == "evaluate":
-            continue
-        metrics = executed.get(stage)
-        if metrics is None:
-            metrics = _read_stage_metrics(cfg, stage)
-        if metrics is not None:
-            report.stages[stage] = metrics
-    # from the stage records, not this process's oracle, which has not seen
-    # the stages run by earlier invocations; attack's oracle_used would count
-    # synthesis twice when both ran in one process
-    used = (report.stages.get("synthesize", {}).get("oracle_used", 0)
-            + report.stages.get("attack", {}).get("attack_queries", 0))
-    report.budget = {"used": int(used), "limit": cfg.resolved_budget()}
-    flat = MetricReport()
-    for stage, metrics in report.stages.items():
-        for key, val in metrics.items():
-            if isinstance(val, (int, float)):
-                flat.set(f"{stage}.{key}", val)
-    (_out(cfg) / "metrics.json").write_text(flat.to_json() + "\n", encoding="utf-8")
-    (_out(cfg) / "metrics.csv").write_text(flat.csv_rows(), encoding="utf-8")
-    return report
 
 
 _STAGE_FUNCS = {
@@ -467,38 +450,42 @@ def run_pipeline(
     there, unless `ctx` already holds them in memory (the study drivers pass
     each arm the shared stages' products). Any stage error aborts with the
     stage name; artifacts already written stay on disk.
+
+    The report is built from every stage record in cfg.out_dir, whichever
+    invocation wrote it; the evaluate stage writes it out.
     """
     for stage in cfg.stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
     ctx = _Context() if ctx is None else ctx
-    executed: dict[str, dict] = {}
     timing: dict[str, float] = {}
-    report = None
-    for stage in STAGES:
+    for stage, run in _STAGE_FUNCS.items():
         if stage not in cfg.stages:
             continue
         start = time.perf_counter()
         try:
-            if stage == "evaluate":
-                report = _stage_evaluate(cfg, executed, arm)
-            else:
-                metrics = _STAGE_FUNCS[stage](cfg, ctx)
-                executed[stage] = metrics
-                _write_stage_metrics(cfg, stage, metrics)
+            _write_stage_metrics(cfg, stage, run(cfg, ctx))
         except Exception as exc:
             raise StageError(stage, exc) from exc
         timing[stage] = time.perf_counter() - start
         log.info("stage %s done in %.2fs", stage, timing[stage])
-    if report is None:
+    start = time.perf_counter()
+    try:
         report = ExperimentReport(
-            stages=executed, config=cfg.echo(), config_hash=cfg.hash(), arm=arm
+            stages={stage: metrics for stage in STAGES
+                    if (metrics := _read_stage_metrics(cfg, stage)) is not None},
+            budget={"used": _queries_spent(cfg, STAGES), "limit": cfg.resolved_budget()},
+            config=cfg.echo(),
+            config_hash=cfg.hash(),
+            timing=timing,
+            arm=arm,
         )
-        if ctx.blackbox is not None:
-            report.budget = {"used": ctx.blackbox.used, "limit": cfg.resolved_budget()}
-    report.timing = timing
-    if "evaluate" in cfg.stages:
-        report.save(cfg.out_dir)
+        if "evaluate" in cfg.stages:
+            timing["evaluate"] = time.perf_counter() - start
+            report.save(_out(cfg))
+            log.info("stage evaluate done in %.2fs", timing["evaluate"])
+    except Exception as exc:
+        raise StageError("evaluate", exc) from exc
     return report
 
 
@@ -513,8 +500,8 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport
 
     An arm is (label, sub-directory, {dotted key: text}). All arm configs are
     built before any stage runs. Arms share the parent's in-memory products,
-    so an override may only touch what the arm's own stages read; each gets a
-    fresh oracle and copies of the shared files. Every run goes through
+    so an override may only touch what the arm's own stages read; each gets
+    copies of the shared files, stage records included. Every run goes through
     run_pipeline, whose report timing bench/tracing.py reads per stage.
     """
     configs = [
@@ -529,7 +516,7 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport
     for label, arm_cfg in configs:
         for name in _SHARED_FILES:
             shutil.copyfile(Path(cfg.out_dir) / name, _out(arm_cfg) / name)
-        ctx = replace(shared, blackbox=None)  # the oracle and its count stay per arm
+        ctx = replace(shared)  # the surrogate stays per arm
         reports.append(run_pipeline(arm_cfg, label, ctx))
         shared.comatrix = ctx.comatrix
     return reports

@@ -88,6 +88,7 @@ class BlackBox:
         k: int = 100,
         budget: int | None = None,
         log_queries: bool = True,
+        spent: int = 0,
     ):
         if not (1 <= k <= victim.num_items):
             raise ConfigError("k must be in [1, V]")
@@ -97,6 +98,9 @@ class BlackBox:
         self.k = k
         self.budget = budget
         self.log_queries = log_queries
+        # charged to the same budget before this oracle was built; `used`
+        # counts only this oracle's own queries
+        self._spent = spent
         self._used = 0
         self._log: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
@@ -111,11 +115,11 @@ class BlackBox:
 
     @property
     def remaining(self) -> int | None:
-        return None if self.budget is None else self.budget - self._used
+        return None if self.budget is None else self.budget - self._spent - self._used
 
     def query(self, x) -> tuple[int, ...]:
         """Top-k ranking for sequence x; raises BudgetExhausted past the budget."""
-        if self.budget is not None and self._used >= self.budget:
+        if self.budget is not None and self.remaining <= 0:
             raise BudgetExhausted(f"query budget of {self.budget} is spent")
         ranked = tuple(recommend_topk(self._victim, x, self.k))
         self._used += 1
@@ -131,9 +135,9 @@ class BlackBox:
         and nothing is charged.
         """
         n = len(prefixes)
-        if self.budget is not None and n > self.budget - self._used:
+        if self.budget is not None and n > self.remaining:
             raise BudgetExhausted(
-                f"query budget of {self.budget} has {self.budget - self._used} left, "
+                f"query budget of {self.budget} has {self.remaining} left, "
                 f"{n} asked"
             )
         top = recommend_topk_batch(self._victim, prefixes, self.k)

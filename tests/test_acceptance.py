@@ -10,7 +10,6 @@ lines and measured values.
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -508,15 +507,9 @@ def test_criterion_9_metric_oracles_budget_and_reports(tmp_path):
     blobs = []
     for sub in ("first", "second"):
         d = tmp_path / sub
-        d.mkdir()
-        cwd = os.getcwd()
-        os.chdir(d)
-        try:
-            run_pipeline(build_config(dict(tiny, out_dir="out")))
-        finally:
-            os.chdir(cwd)
-        blobs.append(report_bytes_without_timing(d / "out" / "report.json"))
-        assert "timing" in json.loads((d / "out" / "report.json").read_text())
+        run_pipeline(build_config(dict(tiny, out_dir=str(d))))
+        blobs.append(report_bytes_without_timing(d / "report.json"))
+        assert "timing" in json.loads((d / "report.json").read_text())
     reports_ok = blobs[0] == blobs[1]
     elapsed = time.perf_counter() - t0
     _report(

@@ -6,7 +6,6 @@ from scipy import sparse
 
 from recattack.corpus import CoMatrix, InteractionCorpus, build_comatrix
 from recattack.evalkit import (
-    MetricReport,
     agreement_at_k,
     ndcg_at_k,
     plausibility_score,
@@ -90,16 +89,3 @@ def test_plausibility_frozen_mean():
     pair[0, 1] = pair[1, 0] = 1
     m = CoMatrix(sparse.csr_matrix(pair), item, 6, 1)
     assert plausibility_score([0, 1, 2], m) == pytest.approx(1 / 6)
-
-
-def test_metric_report_serialization_roundtrip(tmp_path):
-    rep = MetricReport()
-    rep.set("recall@10", 0.5)
-    rep.set("agr@1", 0.25)
-    text = rep.as_text()
-    assert "agr@1 = 0.25" in text and "recall@10 = 0.5" in text
-    back = MetricReport.from_json(rep.to_json())
-    assert back.values == rep.values
-    rows = rep.csv_rows().splitlines()
-    assert rows[0] == "metric,value"
-    assert len(rows) == 3

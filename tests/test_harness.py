@@ -1,6 +1,6 @@
 import json
-import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,8 +225,10 @@ def test_schema_aliases_and_pinned_hashes():
     assert cfg.comatrix_window == 3
     assert cfg.victim_train.epochs == 7
     assert cfg.eval_ks == (2, 4)
-    assert build_config({}).hash() == "c1221b177fbb42dc"
-    assert build_config({"seed": "5"}).hash() == "f51dbedc4c62d455"
+    assert build_config({}).hash() == "e5ae004ab3802baf"
+    assert build_config({"seed": "5"}).hash() == "c6a1e0884123a812"
+    # where and how a run is invoked is not part of what it is
+    assert build_config({"out_dir": "elsewhere", "stages": "attack"}).hash() == "e5ae004ab3802baf"
 
 
 def test_config_seed_derivation_stable_and_overridable():
@@ -265,49 +267,64 @@ def test_pipeline_smoke_all_stages(tmp_path):
     for name in (
         "corpus.txt", "victim.params", "queries.tsv", "surrogate.params",
         "polluted.tsv", "report.json", "report.csv", "report.txt",
-        "metrics.json", "metrics.csv",
     ):
         assert (out / name).exists(), name
-    assert report.budget["used"] == report.stages["attack"]["oracle_used"]
+    assert report.budget["used"] == (report.stages["synthesize"]["oracle_queries"]
+                                     + report.stages["attack"]["oracle_queries"])
     assert report.budget["used"] <= report.budget["limit"]
     assert 0.0 <= report.stages["distill"]["agr@5"] <= 1.0
 
 
+def _run_outputs(out_dir) -> dict:
+    # every file byte for byte, the report without its wall-clock timing
+    out = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+    out["report.json"] = report_bytes_without_timing(out_dir / "report.json")
+    out["report.txt"] = b"\n".join(line for line in out["report.txt"].splitlines()
+                                   if not line.startswith(b"time["))
+    return out
+
+
 def test_pipeline_rerun_is_byte_identical_excluding_timing(tmp_path):
     for sub in ("a", "b"):
-        d = tmp_path / sub
-        d.mkdir()
-        old = os.getcwd()
-        os.chdir(d)
-        try:
-            run_pipeline(tiny_config("out"))
-        finally:
-            os.chdir(old)
-    a = report_bytes_without_timing(tmp_path / "a" / "out" / "report.json")
-    b = report_bytes_without_timing(tmp_path / "b" / "out" / "report.json")
-    assert a == b
-    raw_a = json.loads((tmp_path / "a" / "out" / "report.json").read_text())
+        run_pipeline(tiny_config(tmp_path / sub))
+    assert _run_outputs(tmp_path / "a") == _run_outputs(tmp_path / "b")
+    raw_a = json.loads((tmp_path / "a" / "report.json").read_text())
     assert "timing" in raw_a  # wall clock present, just excluded from comparison
 
 
 def test_pipeline_stagewise_resume_matches_single_run(tmp_path):
-    full_cfg = tiny_config(tmp_path / "full")
-    full = run_pipeline(full_cfg)
+    full = run_pipeline(tiny_config(tmp_path / "full"))
     staged_dir = tmp_path / "staged"
-    for stage in ("corpus", "victim", "synthesize", "distill", "attack", "evaluate"):
+    for stage in STAGES:
         cfg = tiny_config(staged_dir)
         cfg.stages = (stage,)
         report = run_pipeline(cfg)
-    assert report.stages["distill"] == full.stages["distill"]
-    # the cumulative oracle counter is process-dependent (fresh oracle per
-    # invocation); everything the attack measured must match exactly
-    staged_attack = dict(report.stages["attack"])
-    full_attack = dict(full.stages["attack"])
-    assert staged_attack.pop("oracle_used") == staged_attack["attack_queries"]
-    full_attack.pop("oracle_used")
-    assert staged_attack == full_attack
-    for name in ("corpus.txt", "victim.params", "queries.tsv", "surrogate.params", "polluted.tsv"):
-        assert (staged_dir / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+    assert report.stages == full.stages
+    assert report.budget == full.budget
+    assert _run_outputs(staged_dir) == _run_outputs(tmp_path / "full")
+
+
+def test_tight_budget_stops_the_attack_however_the_run_is_split(tmp_path):
+    # synthesis spends the whole budget, so the attack's first query is over it
+    budget = int(TINY["synth.count"]) * (int(TINY["synth.maxlen"]) - 1)
+    extra = {"oracle.budget": str(budget)}
+    spent = f"query budget of {budget} is spent"
+    with pytest.raises(StageError, match=spent) as err:
+        run_pipeline(tiny_config(tmp_path / "full", extra))
+    assert err.value.stage == "attack"
+    staged = tiny_config(tmp_path / "staged", extra)
+    for stage in STAGES:
+        staged.stages = (stage,)
+        if stage == "attack":
+            with pytest.raises(StageError, match=spent):
+                run_pipeline(staged)
+        else:
+            run_pipeline(staged)
+    full = tiny_config(tmp_path / "full", {**extra, "stages": "evaluate"})
+    for cfg in (staged, full):
+        assert "attack" not in run_pipeline(cfg).stages
+        written = json.loads((Path(cfg.out_dir) / "report.json").read_text())
+        assert written["budget"] == {"used": budget, "limit": budget}
 
 
 @pytest.mark.parametrize("first", [
@@ -322,8 +339,8 @@ def test_separate_evaluate_counts_oracle_queries_like_one_shot_run(tmp_path, fir
     cfg.stages = tuple(s for s in STAGES if s not in first)
     report = run_pipeline(cfg)
     assert report.budget == full.budget
-    assert report.budget["used"] == (full.stages["synthesize"]["oracle_used"]
-                                     + full.stages["attack"]["attack_queries"])
+    assert report.budget["used"] == (full.stages["synthesize"]["oracle_queries"]
+                                     + full.stages["attack"]["oracle_queries"])
 
 
 def test_pipeline_budget_truncation_flagged(tmp_path):
@@ -410,14 +427,6 @@ SHARED_FILES = ("corpus.txt", "victim.params", "queries.tsv", "stage_corpus.json
                 "stage_victim.json", "stage_synthesize.json")
 
 
-def _arm_outputs(arm_dir) -> dict:
-    # every file byte for byte, the report without its wall-clock timing
-    out = {p.name: p.read_bytes() for p in arm_dir.iterdir()
-           if p.name not in ("report.json", "report.txt")}
-    out["report.json"] = report_bytes_without_timing(arm_dir / "report.json")
-    return out
-
-
 @pytest.mark.parametrize("study", sorted(STUDIES))
 def test_arms_on_shared_products_equal_file_resumed_arms_in_any_order(tmp_path, study):
     run_study, stages, arms = STUDIES[study]
@@ -426,15 +435,15 @@ def test_arms_on_shared_products_equal_file_resumed_arms_in_any_order(tmp_path, 
         run_study(tiny_config(study_dir), [arm[0] for arm in listed])
         study_dir.rename(tmp_path / order)
     for _, label, sub, overrides in arms:
-        want = _arm_outputs(tmp_path / "forward" / sub)
-        assert _arm_outputs(tmp_path / "reverse" / sub) == want, sub
+        want = _run_outputs(tmp_path / "forward" / sub)
+        assert _run_outputs(tmp_path / "reverse" / sub) == want, sub
         # the same arm alone, in a fresh process state, resuming from files
         arm_dir = study_dir / sub
         arm_dir.mkdir(parents=True)
         for name in SHARED_FILES:
             shutil.copyfile(tmp_path / "forward" / name, arm_dir / name)
         run_pipeline(tiny_config(arm_dir, {**overrides, "stages": stages}), arm=label)
-        assert _arm_outputs(arm_dir) == want, sub
+        assert _run_outputs(arm_dir) == want, sub
 
 
 # ------------------------------------------------------------------------- CLI
@@ -458,6 +467,26 @@ def test_cli_stage_subcommands_chain(tmp_path):
     for cmd in ("gen-corpus", "train-victim", "synthesize", "distill", "attack", "evaluate"):
         assert cli.main(cli_args(cmd, out)) == 0
     assert (out / "report.json").exists()
+
+
+def test_cli_pipeline_runs_the_stages_key(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(cli_args("pipeline", out, ["--set", "stages=corpus,victim,synthesize"])) == 0
+    assert sorted(p.name for p in out.glob("stage_*.json")) == [
+        "stage_corpus.json", "stage_synthesize.json", "stage_victim.json"]
+    assert not (out / "report.json").exists()
+
+
+def test_cli_command_that_fixes_its_stages_rejects_the_key(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("stages = corpus\n")
+    out = tmp_path / "out"
+    for argv in (cli_args("attack", out, ["--set", "stages=attack"]),
+                 cli_args("gen-corpus", out, ["--config", str(cfg_file)]),
+                 cli_args("ablation", out, ["--set", "stages=all"])):
+        assert cli.main(argv) == 1
+        assert f"config error: 'stages' is fixed by the {argv[0]} command" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_error_exits_1(tmp_path, capsys):
