@@ -83,21 +83,33 @@ def _appended_probabilities(params: RecommenderParams, x, cands, target: int) ->
     return ex[:, target] / ex.sum(axis=1)
 
 
-def _cosines_with(emb: np.ndarray):
-    """Cosine of every row of emb with a probe vector, as a function of the
-    probe; the row norms are computed once. A near-zero row or probe scores 0."""
-    norms = np.linalg.norm(emb, axis=1)
-    ok = norms >= COSINE_NORM_FLOOR
-    rows, row_norms = emb[ok], norms[ok]
+@dataclass(frozen=True)
+class _CosineTable:
+    """An embedding table's rows at or above the norm floor and their norms;
+    cosines(probe) scores every row against a probe, 0 for a near-zero row
+    or probe."""
 
-    def cosines(probe: np.ndarray) -> np.ndarray:
-        sims = np.zeros(emb.shape[0])
+    ok: np.ndarray  # (V,) bool, norm >= COSINE_NORM_FLOOR
+    rows: np.ndarray  # emb[ok]
+    norms: np.ndarray  # row norms of emb[ok]
+
+    @classmethod
+    def of(cls, params: RecommenderParams) -> "_CosineTable":
+        norms = np.linalg.norm(params.emb, axis=1)
+        ok = norms >= COSINE_NORM_FLOOR
+        return cls(ok, params.emb[ok], norms[ok])
+
+    def cosines(self, probe: np.ndarray) -> np.ndarray:
+        sims = np.zeros(self.ok.size)
         pnorm = np.linalg.norm(probe)
         if pnorm >= COSINE_NORM_FLOOR:
-            sims[ok] = (rows @ probe) / (row_norms * pnorm)
+            sims[self.ok] = (self.rows @ probe) / (self.norms * pnorm)
         return sims
 
-    return cosines
+
+def _cosine_table(params: RecommenderParams) -> _CosineTable:
+    """params' cosine table: built once for frozen params, per call otherwise."""
+    return params.derived("cosine_table", _CosineTable.of)
 
 
 def _probe(surrogate: RecommenderParams, z, target: int, epsilon: float) -> np.ndarray:
@@ -120,7 +132,7 @@ def grad_alignment(
     """
     if len(z) == 0 or int(z[-1]) != int(target):
         raise ValueError("sequence must end with the target placeholder")
-    return _cosines_with(surrogate.emb)(_probe(surrogate, z, target, epsilon))
+    return _cosine_table(surrogate).cosines(_probe(surrogate, z, target, epsilon))
 
 
 def _minmax(raw: np.ndarray) -> np.ndarray:
@@ -165,8 +177,58 @@ def cohort_filter(
     return set(_cohort(topk_neighbors(m, target, k, kind), sim_g, target, k).tolist())
 
 
+@dataclass
+class _Step:
+    """One greedy step's work on a prefix before the fusion weights enter:
+    the cosine row, the cohort, the cohort's normalized relatedness, and the
+    target probability of every candidate tried in the slot so far."""
+
+    sim_g: np.ndarray
+    items: np.ndarray
+    stil: np.ndarray
+    probs: dict[int, float]
+
+
+class _Work:
+    """The part of pollute_detailed's work that the fusion weights do not
+    change, for one surrogate, relatedness matrix, profile and cfg's target,
+    total_length, epsilon, neighbor_k and corel_kind: the start probability,
+    the target's relatedness row and neighbors, and a _Step per prefix
+    scored so far. attack_user's retry reuses its first pass's."""
+
+    def __init__(self, surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig):
+        self.surrogate, self.cfg, self.t = surrogate, cfg, int(cfg.target)
+        self.x = [int(i) for i in x]
+        if len(self.x) > cfg.total_length:
+            raise ValueError("input already longer than the requested total length")
+        self.start = target_probability(surrogate, self.x, self.t) if self.x else 0.0
+        self.rel = corel_row(m, self.t, cfg.corel_kind)
+        self.neighbors = topk_ids(self.rel, cfg.neighbor_k, skip=self.t)
+        self.cosines = _cosine_table(surrogate).cosines
+        self.steps: dict[tuple[int, ...], _Step] = {}
+
+    def step(self, z: list[int]) -> _Step:
+        key = tuple(z)
+        if key not in self.steps:
+            t, cfg = self.t, self.cfg
+            sim_g = self.cosines(_probe(self.surrogate, z + [t], t, cfg.epsilon))
+            items = _cohort(self.neighbors, sim_g, t, cfg.neighbor_k)
+            stil = _minmax(self.rel[items]) if items.size else np.zeros(0)
+            self.steps[key] = _Step(sim_g, items, stil, {})
+        return self.steps[key]
+
+    def probabilities(self, z: list[int], step: _Step, cand: np.ndarray) -> list[float]:
+        """Target probability of z + [c] for each candidate c. A candidate
+        set with one not tried yet is scored whole, in one batch."""
+        ids = cand.tolist()
+        if not all(c in step.probs for c in ids):
+            probs = _appended_probabilities(self.surrogate, z, cand, self.t)
+            step.probs.update(zip(ids, probs.tolist()))
+        return [step.probs[c] for c in ids]
+
+
 def pollute_detailed(
-    surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig
+    surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig, _work: _Work | None = None
 ):
     """Greedy pollution loop; returns (sequence, PolluteInfo).
 
@@ -178,34 +240,26 @@ def pollute_detailed(
     never appended. An empty cohort falls back to the top-n gradient-aligned
     items over the full catalog and is counted in the info record.
 
-    The target's relatedness row, its neighbors and the embedding norms are
-    computed once per call; grad_alignment, cohort_filter and collab_signal
-    are the same computations for a single step.
+    The target's relatedness row and neighbors are computed once per call
+    and the cosine table once per frozen surrogate; grad_alignment,
+    cohort_filter and collab_signal are the same computations for a single
+    step. attack_user passes `_work` so that its retry, which changes only
+    the fusion weights, reuses the first pass's steps.
     """
-    t = int(cfg.target)
-    z = [int(i) for i in x]
-    if len(z) > cfg.total_length:
-        raise ValueError("input already longer than the requested total length")
-    info = PolluteInfo(
-        fallback_steps=0,
-        target_prob_start=target_probability(surrogate, z, t) if z else 0.0,
-        target_prob_end=0.0,
-    )
-    rel = corel_row(m, t, cfg.corel_kind)
-    neighbors = topk_ids(rel, cfg.neighbor_k, skip=t)
-    cosines = _cosines_with(surrogate.emb)
+    work = _Work(surrogate, m, x, cfg) if _work is None else _work
+    t, z = work.t, list(work.x)
+    info = PolluteInfo(fallback_steps=0, target_prob_start=work.start, target_prob_end=0.0)
     while len(z) < cfg.total_length:
-        sim_g = cosines(_probe(surrogate, z + [t], t, cfg.epsilon))
-        items = _cohort(neighbors, sim_g, t, cfg.neighbor_k)
-        if items.size:
-            stil = _minmax(rel[items])
-            top = topk_ids(fuse(sim_g[items], stil, cfg.w_g, cfg.w_s), cfg.n_candidates)
-            cand, stil = items[top], stil[top]
+        step = work.step(z)
+        if step.items.size:
+            fused = fuse(step.sim_g[step.items], step.stil, cfg.w_g, cfg.w_s)
+            top = topk_ids(fused, cfg.n_candidates)
+            cand, stil = step.items[top], step.stil[top]
         else:
             info.fallback_steps += 1
-            cand = topk_ids(sim_g, cfg.n_candidates, skip=t)
+            cand = topk_ids(step.sim_g, cfg.n_candidates, skip=t)
             stil = np.zeros(cand.size)
-        probs = _appended_probabilities(surrogate, z, cand, t)
+        probs = work.probabilities(z, step, cand)
         best = max(range(cand.size), key=lambda i: (probs[i], stil[i], -cand[i]))
         z.append(int(cand[best]))
     info.target_prob_end = target_probability(surrogate, z, t) if z else 0.0
@@ -249,7 +303,7 @@ def baseline_sim_alter(model: RecommenderParams, x, target: int, total_length: i
     need = -(-(total_length - len(z)) // 2)  # neighbors among the appended items
     if need > model.num_items - 1:
         raise ValueError("the catalog has too few items for the requested length")
-    sims = _cosines_with(model.emb)(model.emb[target])
+    sims = _cosine_table(model).cosines(model.emb[target])
     for item in topk_ids(sims, need, skip=target).tolist():
         z.append(item)
         if len(z) < total_length:
@@ -281,8 +335,13 @@ def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
 
 
 def validate(bb: BlackBox, z, target: int, k: int) -> ExposureResult:
-    """Query the black box with z and report the target's exposure in top-k."""
+    """Query the black box with z and report the target's exposure in top-k.
+
+    k must lie in [1, bb.k]: the black box answers with its top bb.k only.
+    """
     _check_target(target, bb.num_items)
+    if not (1 <= k <= bb.k):
+        raise ValueError(f"k={k} outside [1, {bb.k}], the black box's response length")
     ranked = bb.query(z)
     top = list(ranked[:k])
     if target in top:
@@ -307,11 +366,12 @@ def attack_user(
     outcome is reported either way. Returns (z, ExposureResult, refined,
     PolluteInfo).
     """
-    z, info = pollute_detailed(surrogate, m, x, cfg)
+    work = _Work(surrogate, m, x, cfg)
+    z, info = pollute_detailed(surrogate, m, x, cfg, work)
     result = validate(bb, z, cfg.target, k)
     if result.hit or not refine:
         return z, result, False, info
     w_g = min(1.0, cfg.w_g + 0.2)
     retry_cfg = replace(cfg, w_g=w_g, w_s=1.0 - w_g)
-    z2, info2 = pollute_detailed(surrogate, m, x, retry_cfg)
+    z2, info2 = pollute_detailed(surrogate, m, x, retry_cfg, work)
     return z2, validate(bb, z2, cfg.target, k), True, info2

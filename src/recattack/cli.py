@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
-from .config import build_config, parse_config_text, parse_value
+from .config import build_config, parse_value, read_config_file
 from .errors import ConfigError, StageError
 from .harness import run_ablation, run_alpha_sweep, run_pipeline
 
@@ -87,7 +86,7 @@ def _flat_config(args) -> dict[str, str]:
         key, value = item.split("=", 1)
         flat[key.strip()] = value.strip()
     if args.config:  # file values win
-        flat.update(parse_config_text(Path(args.config).read_text(encoding="utf-8")))
+        flat.update(read_config_file(args.config))
     if args.command != "pipeline":
         if "stages" in flat:
             raise ConfigError(f"'stages' is fixed by the {args.command} command; "

@@ -115,6 +115,15 @@ class ExperimentConfig:
     attack: AttackStageConfig = field(default_factory=AttackStageConfig)
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
+    def __post_init__(self):
+        if self.corpus_format not in ("tsv_triples", "sequence_lines"):
+            raise ValueError(f"unknown corpus format {self.corpus_format!r}")
+        # the attack validates on the oracle's top-k response, nothing deeper
+        if self.attack.eval_k > self.oracle.k:
+            raise ValueError(
+                f"attack.eval_k ({self.attack.eval_k}) must be <= oracle.k ({self.oracle.k})"
+            )
+
     def resolved_budget(self) -> int:
         if self.oracle.budget is not None:
             return self.oracle.budget
@@ -222,6 +231,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_config_file(path) -> dict[str, str]:
+    """parse_config_text of a file; a file that cannot be read is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from None
+    return parse_config_text(text)
+
+
 def _rebuild(obj, prefix: tuple[str, ...], values: dict):
     """Copy of `obj` with `values` applied, nested sections first, so every
     section's own __post_init__ check runs on its final values."""
@@ -235,7 +254,7 @@ def _rebuild(obj, prefix: tuple[str, ...], values: dict):
     try:
         return replace(obj, **changes)
     except ValueError as exc:
-        raise ConfigError(f"{_dotted(prefix)}: {exc}") from None
+        raise ConfigError(f"{_dotted(prefix)}: {exc}" if prefix else str(exc)) from None
 
 
 def parse_value(key: str, raw: str):
@@ -265,15 +284,12 @@ def build_config(flat: dict[str, str]) -> ExperimentConfig:
         values[w_s] = 1.0 - values[w_g]
     if w_s in values and w_g not in values:
         values[w_g] = 1.0 - values[w_s]
-    cfg = _rebuild(ExperimentConfig(), (), values)
-    if cfg.corpus_format not in ("tsv_triples", "sequence_lines"):
-        raise ConfigError(f"unknown corpus format {cfg.corpus_format!r}")
-    return cfg
+    return _rebuild(ExperimentConfig(), (), values)
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Merge flag overrides with a config file; file values win."""
     flat = dict(overrides or {})
     if path:
-        flat.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        flat.update(read_config_file(path))
     return build_config(flat)

@@ -94,7 +94,7 @@ class BlackBox:
             raise ConfigError("k must be in [1, V]")
         if budget is not None and budget < 0:
             raise ConfigError("budget must be >= 0")
-        self._victim = victim.copy().freeze()
+        self._victim = victim.freeze()
         self.k = k
         self.budget = budget
         self.log_queries = log_queries

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,20 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class RecommenderParams:
-    """Item embeddings, item biases and the recency decay of the encoder."""
+    """Item embeddings, item biases and the recency decay of the encoder.
+
+    Params are writable until frozen. freeze() returns a read-only snapshot
+    that nothing can change, so a value computed from it, such as the attack's
+    cosine table, is built on first use and kept (see derived); writable
+    params build such values anew on every call. train, distill_train and
+    load_params return frozen params; copy() gives a writable one.
+    """
 
     emb: np.ndarray  # (V, d) float64
     bias: np.ndarray  # (V,) float64
     gamma: float
+    # None while writable; freeze() sets it to the store of derived values
+    _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.emb = np.asarray(self.emb, dtype=np.float64)
@@ -44,6 +53,18 @@ class RecommenderParams:
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must be in (0, 1]")
 
+    def __setattr__(self, name, value):
+        if getattr(self, "_derived", None) is not None:
+            raise AttributeError("frozen parameters cannot be changed; use copy()")
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        # unpickled and deep-copied arrays come back writable
+        self.__dict__.update(state)
+        if self.frozen:
+            self.emb.flags.writeable = False
+            self.bias.flags.writeable = False
+
     @property
     def num_items(self) -> int:
         return int(self.emb.shape[0])
@@ -52,16 +73,34 @@ class RecommenderParams:
     def dim(self) -> int:
         return int(self.emb.shape[1])
 
+    @property
+    def frozen(self) -> bool:
+        return self._derived is not None
+
     def copy(self) -> "RecommenderParams":
+        """A writable copy."""
         return RecommenderParams(self.emb.copy(), self.bias.copy(), self.gamma)
 
     def freeze(self) -> "RecommenderParams":
-        """Return a read-only view of the parameters."""
-        emb = self.emb.view()
-        bias = self.bias.view()
-        emb.flags.writeable = False
-        bias.flags.writeable = False
-        return replace(self, emb=emb, bias=bias)
+        """A read-only snapshot: a copy whose arrays and attributes cannot be
+        written, so later changes to these params do not reach it. Frozen
+        params are their own snapshot."""
+        if self.frozen:
+            return self
+        out = self.copy()
+        out.emb.flags.writeable = False
+        out.bias.flags.writeable = False
+        out._derived = {}
+        return out
+
+    def derived(self, key: str, build):
+        """build(self), built once per key and kept when the params are
+        frozen, and on every call when they are writable."""
+        if self._derived is None:
+            return build(self)
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
 
 @dataclass
@@ -265,7 +304,7 @@ def adam_step(value, grad, m, v, step, cfg: TrainConfig) -> None:
 
 
 def _fit(params: RecommenderParams, n: int, cfg: TrainConfig, batch_grads) -> RecommenderParams:
-    """Mini-batch Adam over examples 0..n-1; returns a trained copy of params.
+    """Mini-batch Adam over examples 0..n-1; returns a trained, frozen copy of params.
 
     Each epoch walks a fresh permutation from default_rng(cfg.seed) in
     batches of cfg.batch_size rows; batch_grads(params, rows, rng) returns
@@ -290,14 +329,15 @@ def _fit(params: RecommenderParams, n: int, cfg: TrainConfig, batch_grads) -> Re
             adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg)
             epoch_loss += loss * len(rows)
         log.debug("epoch %d mean loss %.4f", epoch, epoch_loss / n)
-    return out
+    return out.freeze()
 
 
 def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> RecommenderParams:
     """Train by next-item CE over every (prefix, next) pair of the train split.
 
-    Returns a new parameter set; the input is left untouched. Deterministic
-    for a fixed seed. Raises TrainingDiverged on a non-finite batch loss.
+    Returns a new, frozen parameter set; the input is left untouched.
+    Deterministic for a fixed seed. Raises TrainingDiverged on a non-finite
+    batch loss.
     """
     seqs = [seq for seq in data.train if len(seq) >= 2]
     if not seqs:
@@ -381,6 +421,7 @@ def save_params(params: RecommenderParams, path) -> None:
 
 
 def load_params(path) -> RecommenderParams:
+    """The frozen parameters save_params wrote to path."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != PARAMS_MAGIC:
@@ -394,6 +435,6 @@ def load_params(path) -> RecommenderParams:
     need = (v * d + v) * 8
     if len(payload) != need:
         raise ValueError(f"{path}: expected {need} payload bytes, got {len(payload)}")
-    emb = np.frombuffer(payload[: v * d * 8], dtype="<f8").reshape(v, d).copy()
-    bias = np.frombuffer(payload[v * d * 8 :], dtype="<f8").copy()
-    return RecommenderParams(emb=emb, bias=bias, gamma=gamma)
+    emb = np.frombuffer(payload[: v * d * 8], dtype="<f8").reshape(v, d)
+    bias = np.frombuffer(payload[v * d * 8 :], dtype="<f8")
+    return RecommenderParams(emb=emb, bias=bias, gamma=gamma).freeze()

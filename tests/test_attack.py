@@ -1,8 +1,17 @@
+import copy
+import pickle
+from contextlib import nullcontext
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recattack import attack
 from recattack.attack import (
     AttackConfig,
+    attack_user,
     baseline_rand_alter,
     baseline_sim_alter,
     cohort_filter,
@@ -351,6 +360,16 @@ def test_validate_rank_reporting():
     assert (absent.hit, absent.rank, absent.reciprocal_rank) == (False, None, 0.0)
 
 
+def test_validate_rejects_k_beyond_the_response_before_querying():
+    vic = RecommenderParams(emb=np.zeros((6, 2)), bias=np.arange(6.0), gamma=0.8)
+    bb = BlackBox(vic, k=3, budget=None)
+    for k in (0, 4, 6):
+        with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+            validate(bb, [0], target=1, k=k)
+    assert bb.used == 0
+    assert validate(bb, [0], target=3, k=3).rank == 3 and bb.used == 1
+
+
 def test_attack_config_validates_simplex():
     with pytest.raises(ValueError):
         AttackConfig(target=0, total_length=5, w_g=0.7, w_s=0.7)
@@ -369,3 +388,94 @@ def test_polluted_sequences_roundtrip(tmp_path):
     path.write_text("u1\t1 2\nu2\t3 -1 4\n")
     with pytest.raises(ValueError, match="line 2"):
         load_polluted_sequences(path)
+
+
+# ------------------------------------------- frozen surrogate and shared retry
+
+
+def test_frozen_surrogate_pickles_and_deep_copies_with_its_cosine_table():
+    frozen = rand_params(np.random.default_rng(23), v=9).freeze()
+    sims = grad_alignment(frozen, [1, 2, 3], 3, 0.1)  # builds the table
+    for twin in (pickle.loads(pickle.dumps(frozen)), copy.deepcopy(frozen)):
+        assert twin.frozen and not twin.emb.flags.writeable and not twin.bias.flags.writeable
+        assert (twin.emb == frozen.emb).all() and twin.gamma == frozen.gamma
+        twin.derived("cosine_table", lambda params: pytest.fail("the table was not kept"))
+        assert np.array_equal(grad_alignment(twin, [1, 2, 3], 3, 0.1), sims)
+
+
+def _no_cohort(neighbors, sim_g, target, k):
+    return np.zeros(0, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    v=st.integers(3, 30),
+    length=st.integers(0, 5),
+    extra=st.integers(1, 6),
+    zero_rows=st.integers(0, 3),
+    empty_cohort=st.booleans(),
+)
+def test_frozen_surrogate_attacks_like_a_writable_copy(seed, v, length, extra, zero_rows, empty_cohort):
+    """A frozen surrogate keeps one cosine table; a writable copy builds it per
+    call. Every attack result must agree bit for bit, and attack_user's retry,
+    which reuses its first pass, must equal a fresh pass at the retry weights."""
+    rng = np.random.default_rng(seed)
+    p = rand_params(rng, v=v, d=int(rng.integers(1, 9)))
+    p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
+    frozen = p.freeze()
+    writable = frozen.copy()
+    m = toy_comatrix(rng, v)
+    x = [int(i) for i in rng.integers(0, v, size=length)]
+    t = int(rng.integers(0, v))
+    w_g = float(rng.choice([0.0, 0.2, 0.5, 0.9]))
+    cfg = AttackConfig(
+        target=t, total_length=length + extra, epsilon=float(rng.uniform(0, 0.3)),
+        n_candidates=int(rng.integers(1, 4)), neighbor_k=int(rng.integers(1, 6)),
+        w_g=w_g, w_s=1.0 - w_g, corel_kind=str(rng.choice(["jaccard", "ppmi"])),
+    )
+    # a victim ranking only its top 1 or 2 makes most pairs miss and retry
+    victim = rand_params(rng, v=v, d=3)
+    k = int(rng.integers(1, 3))
+
+    for _ in range(2):  # the second round reads the frozen table built by the first
+        assert np.array_equal(
+            grad_alignment(frozen, x + [t], t, cfg.epsilon),
+            grad_alignment(writable, x + [t], t, cfg.epsilon),
+        )
+        if -(-extra // 2) < v:  # sim_alter needs ceil(extra / 2) non-target items
+            assert baseline_sim_alter(frozen, x, t, cfg.total_length) == baseline_sim_alter(
+                writable, x, t, cfg.total_length)
+        with mock.patch.object(attack, "_cohort", _no_cohort) if empty_cohort else nullcontext():
+            got = pollute_detailed(frozen, m, x, cfg)
+            assert got == pollute_detailed(writable, m, x, cfg)
+            assert (got[1].fallback_steps > 0) == empty_cohort
+            outcomes = [attack_user(s, m, BlackBox(victim, k=k), x, cfg, k) for s in (frozen, writable)]
+            assert outcomes[0] == outcomes[1]
+            z, _, refined, info = outcomes[0]
+            if refined:
+                retry_w_g = min(1.0, w_g + 0.2)
+                retry = replace(cfg, w_g=retry_w_g, w_s=1.0 - retry_w_g)
+                assert (z, info) == pollute_detailed(writable, m, x, retry)
+
+
+def test_attack_user_retry_equals_a_fresh_pass_at_the_retry_weights():
+    # the retry reuses every step of the first pass whose prefix it shares;
+    # where it appends a different item, the later prefixes are new
+    diverged_early = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        surrogate = rand_params(rng, v=40, d=8).freeze()
+        m = toy_comatrix(rng, 40, nseq=30, length=8)
+        x = [int(i) for i in rng.integers(0, 40, size=4)]
+        cfg = AttackConfig(target=int(rng.integers(0, 40)), total_length=10, n_candidates=3,
+                           neighbor_k=5, w_g=0.0, w_s=1.0)
+        bb = BlackBox(rand_params(rng, v=40, d=3), k=1)
+        z, _, refined, info = attack_user(surrogate, m, bb, x, cfg, 1)
+        if not refined:
+            continue
+        first = pollute(surrogate, m, x, cfg)
+        assert (z, info) == pollute_detailed(surrogate, m, x, replace(cfg, w_g=0.2, w_s=0.8))
+        split = next((i for i, (a, b) in enumerate(zip(first, z)) if a != b), len(z))
+        diverged_early += split < len(z) - 1  # steps after the split read new prefixes
+    assert diverged_early >= 10

@@ -314,6 +314,15 @@ def test_distill_train_zero_epochs_keeps_init():
     assert (out.emb == init.emb).all() and (out.bias == init.bias).all()
 
 
+def test_distill_train_returns_frozen_params():
+    qs = small_queryset()
+    init = init_params(20, 4, seed=1)
+    for epochs in (0, 2):
+        out = distill_train(qs, DistillConfig(train=TrainConfig(epochs=epochs)), init)
+        assert out.frozen and not out.emb.flags.writeable and not out.bias.flags.writeable
+        assert not init.frozen and out.copy().emb.flags.writeable
+
+
 def test_distill_train_deterministic():
     qs = small_queryset()
     init = init_params(20, 4, seed=1)

@@ -495,6 +495,25 @@ def test_cli_config_error_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    for cmd in ("evaluate", "pipeline", "alpha-sweep"):
+        assert cli.main([cmd, "--out", str(tmp_path / "out"), "--config", str(missing)]) == 1
+        assert f"recattack: config error: cannot read config file '{missing}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(missing)
+
+
+def test_cli_eval_k_beyond_the_oracle_response_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(cli_args("pipeline", out, ["--set", "attack.eval_k=20"]))
+    assert rc == 1
+    assert "config error: attack.eval_k (20) must be <= oracle.k (8)" in capsys.readouterr().err
+    assert not out.exists()
+    assert tiny_config(out, {"attack.eval_k": "8"}).attack.eval_k == 8
+
+
 def test_cli_out_of_range_value_exits_1(tmp_path, capsys):
     rc = cli.main(["pipeline", "--out", str(tmp_path), "--set", "distill.alpha=1.0"])
     assert rc == 1

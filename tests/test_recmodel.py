@@ -437,3 +437,55 @@ def test_appended_scores_match_forward_passes():
         items = [0, 3, 10, 3]
         want = np.stack([forward_scores(p, x + [c]) for c in items])
         assert np.allclose(appended_scores(p, x, items), want, rtol=1e-12, atol=1e-14)
+
+
+# --------------------------------------------------------------- frozen params
+
+
+def test_freeze_is_a_read_only_snapshot():
+    p = rand_params(np.random.default_rng(20), v=9, d=3)
+    emb, bias = p.emb.copy(), p.bias.copy()
+    f = p.freeze()
+    assert f.frozen and not p.frozen and f.freeze() is f
+    p.emb[2] += 1.0
+    p.bias[:] = 0.0
+    assert (f.emb == emb).all() and (f.bias == bias).all()
+    with pytest.raises(ValueError):
+        f.emb[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.bias[0] = 1.0
+    with pytest.raises(AttributeError):
+        f.gamma = 0.5
+    writable = f.copy()
+    writable.emb[0, 0] = 7.0
+    assert not writable.frozen and f.emb[0, 0] == emb[0, 0]
+
+
+def test_derived_is_kept_only_when_frozen():
+    p = rand_params(np.random.default_rng(21), v=6, d=2)
+    builds = []
+
+    def build(params):
+        builds.append(1)
+        return params.emb.sum()
+
+    assert p.derived("sum", build) == p.derived("sum", build)
+    assert len(builds) == 2
+    f = p.freeze()
+    assert f.derived("sum", build) == f.derived("sum", build) == p.emb.sum()
+    assert len(builds) == 3
+
+
+def test_train_and_load_params_return_frozen_params(tmp_path):
+    split = leave_one_out_split(one_user_corpus([0, 1, 2, 3, 1, 2]))
+    p = init_params(4, 4, seed=0)
+    for out in (train(p, split, TrainConfig(epochs=2)), train(p, split, TrainConfig(epochs=0))):
+        assert out.frozen and not out.emb.flags.writeable and not out.bias.flags.writeable
+        assert not p.frozen and p.emb.flags.writeable
+        writable = out.copy()
+        assert not writable.frozen and writable.emb.flags.writeable and writable.bias.flags.writeable
+    save_params(p, tmp_path / "m.params")
+    q = load_params(tmp_path / "m.params")
+    assert q.frozen and not q.emb.flags.writeable and (q.emb == p.emb).all()
+    assert q.copy().emb.flags.writeable
+
