@@ -19,7 +19,7 @@ import numpy as np
 
 # corel is not called here, but it stays importable as attack.corel: the
 # benchmark's tracer wraps it in every module that holds it
-from .corpus import CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
+from .corpus import COREL_KINDS, CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
 from .oracle import BlackBox
 from .ranking import topk_ids
 from .recmodel import RecommenderParams, appended_scores, ce_last_row_grad, forward_scores
@@ -29,7 +29,8 @@ COSINE_NORM_FLOOR = 1e-12
 
 @dataclass
 class AttackConfig:
-    """Pollution hyperparameters; w_g and w_s must form a simplex."""
+    """Pollution hyperparameters; w_g and w_s must form a simplex. This is the
+    one check of the pollution knobs: config.AttackStageConfig runs it too."""
 
     target: int
     total_length: int
@@ -48,6 +49,8 @@ class AttackConfig:
             raise ValueError("n_candidates and neighbor_k must be >= 1")
         if self.w_g < 0 or self.w_s < 0 or abs(self.w_g + self.w_s - 1.0) > 1e-9:
             raise ValueError("fusion weights must be >= 0 and sum to 1")
+        if self.corel_kind not in COREL_KINDS:
+            raise ValueError(f"unknown corel kind {self.corel_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class ExposureResult:
 class PolluteInfo:
     """Per-run diagnostics for one pollution pass."""
 
-    fallback_steps: int
+    fallback_steps: int  # always 0: the cohort is never empty; bench/tracing.py reads it
     target_prob_start: float
     target_prob_end: float
 
@@ -199,6 +202,8 @@ class _Work:
     def __init__(self, surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig):
         self.surrogate, self.cfg, self.t = surrogate, cfg, int(cfg.target)
         self.x = [int(i) for i in x]
+        if surrogate.num_items < 2:
+            raise ValueError("pollution needs a catalog of at least two items")
         if len(self.x) > cfg.total_length:
             raise ValueError("input already longer than the requested total length")
         self.start = target_probability(surrogate, self.x, self.t) if self.x else 0.0
@@ -213,8 +218,7 @@ class _Work:
             t, cfg = self.t, self.cfg
             sim_g = self.cosines(_probe(self.surrogate, z + [t], t, cfg.epsilon))
             items = _cohort(self.neighbors, sim_g, t, cfg.neighbor_k)
-            stil = _minmax(self.rel[items]) if items.size else np.zeros(0)
-            self.steps[key] = _Step(sim_g, items, stil, {})
+            self.steps[key] = _Step(sim_g, items, _minmax(self.rel[items]), {})
         return self.steps[key]
 
     def probabilities(self, z: list[int], step: _Step, cand: np.ndarray) -> list[float]:
@@ -237,8 +241,8 @@ def pollute_detailed(
     the cohort, instantiate the top-n candidates in the placeholder slot,
     and keep the one with the highest surrogate probability of the target
     (ties: higher collaborative score, then lower id). The target itself is
-    never appended. An empty cohort falls back to the top-n gradient-aligned
-    items over the full catalog and is counted in the info record.
+    never appended. The cohort holds the target's neighbor_k best related
+    items, so it is never empty; the catalog must have two items or more.
 
     The target's relatedness row and neighbors are computed once per call
     and the cosine table once per frozen surrogate; grad_alignment,
@@ -251,14 +255,8 @@ def pollute_detailed(
     info = PolluteInfo(fallback_steps=0, target_prob_start=work.start, target_prob_end=0.0)
     while len(z) < cfg.total_length:
         step = work.step(z)
-        if step.items.size:
-            fused = fuse(step.sim_g[step.items], step.stil, cfg.w_g, cfg.w_s)
-            top = topk_ids(fused, cfg.n_candidates)
-            cand, stil = step.items[top], step.stil[top]
-        else:
-            info.fallback_steps += 1
-            cand = topk_ids(step.sim_g, cfg.n_candidates, skip=t)
-            stil = np.zeros(cand.size)
+        top = topk_ids(fuse(step.sim_g[step.items], step.stil, cfg.w_g, cfg.w_s), cfg.n_candidates)
+        cand, stil = step.items[top], step.stil[top]
         probs = work.probabilities(z, step, cand)
         best = max(range(cand.size), key=lambda i: (probs[i], stil[i], -cand[i]))
         z.append(int(cand[best]))

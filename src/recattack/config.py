@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .corpus import COREL_KINDS
+from .attack import AttackConfig
 from .distill import DistillConfig
 from .errors import ConfigError
 from .recmodel import TrainConfig
@@ -84,15 +84,19 @@ class AttackStageConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.corel_kind not in COREL_KINDS:
-            raise ValueError(f"unknown corel kind {self.corel_kind!r}")
-        for name in ("num_users", "num_targets", "eval_k", "n_candidates", "neighbor_k"):
+        self.pollution(target=0, total_length=1, seed=0)  # AttackConfig's own knob checks
+        for name in ("num_users", "num_targets", "eval_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.length_factor <= 0:
             raise ValueError("length_factor must be > 0")
-        if self.w_g < 0 or self.w_s < 0 or abs(self.w_g + self.w_s - 1.0) > 1e-9:
-            raise ValueError("fusion weights w_g, w_s must be >= 0 and sum to 1")
+
+    def pollution(self, target: int, total_length: int, seed: int) -> AttackConfig:
+        """One (user, target) pair's AttackConfig: every pollution knob it has
+        but the pair's own target, total_length and seed comes from here."""
+        knobs = {f.name: getattr(self, f.name) for f in fields(AttackConfig)
+                 if f.name not in ("target", "total_length", "seed")}
+        return AttackConfig(target=target, total_length=total_length, seed=seed, **knobs)
 
 
 @dataclass

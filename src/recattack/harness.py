@@ -11,7 +11,11 @@ The stage records are the run's one account of oracle queries: synthesize
 and attack each record the queries they charged as `oracle_queries`. A
 querying stage's oracle starts from what the earlier stages' records spent,
 and the report's budget is the sum over all records, so a run split over
-several invocations spends and reports what the one-shot run does.
+several invocations spends and reports what the one-shot run does. The
+budget is the attacker's: the attack stage charges only attack_user's
+validations, one per pair plus one per refine retry. It measures every arm
+(the original profiles, the polluted ones and both baselines) on the victim
+directly, one batched ranking per arm, and charges nothing for it.
 
 Both studies run arms: a label, a sub-directory and dotted-key overrides of
 the parent config. Corpus, victim and synthesize run once; each arm's stages
@@ -23,10 +27,12 @@ the shared synthesis, and later stage commands resume from it.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
 import math
+import operator
 import shutil
 import time
 from dataclasses import dataclass, field, replace
@@ -85,27 +91,20 @@ class ExperimentReport:
     timing: dict[str, float] = field(default_factory=dict)
     arm: str | None = None
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "arm": self.arm,
             "budget": self.budget,
             "config": self.config,
             "config_hash": self.config_hash,
             "stages": self.stages,
+            "timing": self.timing,
         }
-        if include_timing:
-            d["timing"] = self.timing
-        return d
-
-    def canonical_bytes(self, include_timing: bool = False) -> bytes:
-        return json.dumps(
-            self.to_dict(include_timing), sort_keys=True, separators=(",", ":")
-        ).encode()
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)
         (out / "report.json").write_text(
-            json.dumps(self.to_dict(True), sort_keys=True, indent=2) + "\n",
+            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
         (out / "report.txt").write_text(self.as_text() + "\n", encoding="utf-8")
@@ -201,13 +200,23 @@ def _ensure_comatrix(cfg, ctx: _Context) -> CoMatrix:
     return ctx.comatrix
 
 
-def _ensure_victim(cfg, ctx: _Context):
-    if ctx.victim is None:
-        path = Path(cfg.out_dir) / ARTIFACTS["victim"]
+# stage product -> (its loader, the stage that writes it)
+_PRODUCTS = {
+    "victim": (load_params, "victim"),
+    "queries": (load_queryset, "synthesize"),
+    "surrogate": (load_params, "distill"),
+}
+
+
+def _ensure(cfg, ctx: _Context, name: str):
+    """ctx's `name`, loaded from its artifact in cfg.out_dir unless ctx holds it."""
+    if getattr(ctx, name) is None:
+        load, stage = _PRODUCTS[name]
+        path = Path(cfg.out_dir) / ARTIFACTS[name]
         if not path.exists():
-            raise FileNotFoundError(f"{path} missing; run the victim stage first")
-        ctx.victim = load_params(path)
-    return ctx.victim
+            raise FileNotFoundError(f"{path} missing; run the {stage} stage first")
+        setattr(ctx, name, load(path))
+    return getattr(ctx, name)
 
 
 def _queries_spent(cfg, stages) -> int:
@@ -220,31 +229,13 @@ def _oracle(cfg, ctx: _Context, stage: str) -> BlackBox:
     """The attacker's black box for `stage`, charged what the records of the
     stages before it spent."""
     return BlackBox(
-        _ensure_victim(cfg, ctx),
+        _ensure(cfg, ctx, "victim"),
         k=cfg.oracle.k,
         budget=cfg.resolved_budget(),
         # generate_sequences keeps every pair it needs
         log_queries=False,
         spent=_queries_spent(cfg, STAGES[: STAGES.index(stage)]),
     )
-
-
-def _ensure_queries(cfg, ctx: _Context):
-    if ctx.queries is None:
-        path = Path(cfg.out_dir) / ARTIFACTS["queries"]
-        if not path.exists():
-            raise FileNotFoundError(f"{path} missing; run the synthesize stage first")
-        ctx.queries = load_queryset(path)
-    return ctx.queries
-
-
-def _ensure_surrogate(cfg, ctx: _Context):
-    if ctx.surrogate is None:
-        path = Path(cfg.out_dir) / ARTIFACTS["surrogate"]
-        if not path.exists():
-            raise FileNotFoundError(f"{path} missing; run the distill stage first")
-        ctx.surrogate = load_params(path)
-    return ctx.surrogate
 
 
 def _ranking_quality(params, pairs, ks) -> dict:
@@ -326,14 +317,14 @@ def _stage_synthesize(cfg, ctx: _Context) -> dict:
 
 def _stage_distill(cfg, ctx: _Context) -> dict:
     corpus = _ensure_corpus(cfg, ctx)
-    queries = _ensure_queries(cfg, ctx)
+    queries = _ensure(cfg, ctx, "queries")
     init = init_params(
         corpus.num_items, cfg.surrogate.dim, cfg.surrogate.gamma, cfg.surrogate.init_seed
     )
     surrogate = distill_train(queries, cfg.distill, init)
     ctx.surrogate = surrogate
     save_params(surrogate, _out(cfg) / ARTIFACTS["surrogate"])
-    victim = _ensure_victim(cfg, ctx)
+    victim = _ensure(cfg, ctx, "victim")
     split = _ensure_split(cfg, ctx)
     prefixes = [prefix for prefix, _ in split.test]
     metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks)
@@ -343,10 +334,32 @@ def _stage_distill(cfg, ctx: _Context) -> dict:
     return metrics
 
 
+def _in_order_sum(values) -> float:
+    """Left-to-right float sum; the builtin sum compensates from Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _exposure(victim, seqs, targets, k: int):
+    """Each target's exposure in the victim's top-k for its sequence, from one
+    batched ranking: (hit, rank, reciprocal rank) arrays, as atk.validate
+    reports them, with rank 0 and reciprocal rank 0.0 for a miss."""
+    match = recommend_topk_batch(victim, seqs, k) == np.asarray(targets)[:, None]
+    hit = match.any(axis=1)
+    rank = np.where(hit, match.argmax(axis=1) + 1, 0)
+    return hit, rank, np.divide(1.0, rank, out=np.zeros(rank.size), where=hit)
+
+
+# attack-stage arm -> the prefix of its exposure metrics
+_ARM_METRICS = {"original": "pre", "dual": "post", "rand": "rand_post", "sim": "sim_post"}
+
+
 def _stage_attack(cfg, ctx: _Context) -> dict:
+    """Pollute every (user, target) pair with the attacker's oracle, then
+    measure every arm on the victim itself: no measurement is charged."""
     corpus = _ensure_corpus(cfg, ctx)
     comatrix = _ensure_comatrix(cfg, ctx)
-    surrogate = _ensure_surrogate(cfg, ctx)
+    surrogate = _ensure(cfg, ctx, "surrogate")
+    victim = _ensure(cfg, ctx, "victim")
     bb = _oracle(cfg, ctx, "attack")
     ac = cfg.attack
     rng = np.random.default_rng(ac.seed)
@@ -362,72 +375,42 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
         int(t) for t in rng.choice(pool, size=min(ac.num_targets, pool.size), replace=False)
     )
 
-    k = ac.eval_k
-    agg = {
-        "pre_hit": 0.0,
-        "post_hit": 0.0,
-        "pre_mrr": 0.0,
-        "post_mrr": 0.0,
-        "rand_post_hit": 0.0,
-        "sim_post_hit": 0.0,
-        "plaus_dual": 0.0,
-        "plaus_rand": 0.0,
-        "plaus_sim": 0.0,
-        "plaus_original": 0.0,
-    }
-    refined_count = 0
-    fallback_steps = 0
-    surrogate_prob_gain = 0.0
-    rows = []
-    for t in targets:
-        for u in user_idx:
-            x = corpus.sequences[u]
-            total = max(len(x) + 1, math.ceil(ac.length_factor * len(x)))
-            pair_seed = int(rng.integers(2**31))
-            pre = atk.validate(bb, x, t, k)
-            acfg = atk.AttackConfig(
-                target=t,
-                total_length=total,
-                epsilon=ac.epsilon,
-                n_candidates=ac.n_candidates,
-                neighbor_k=ac.neighbor_k,
-                w_g=ac.w_g,
-                w_s=ac.w_s,
-                corel_kind=ac.corel_kind,
-                seed=pair_seed,
-            )
-            z, post, refined, info = atk.attack_user(
-                surrogate, comatrix, bb, x, acfg, k, refine=ac.refine
-            )
-            rand_z = atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=pair_seed)
-            rand_post = atk.validate(bb, rand_z, t, k)
-            sim_z = atk.baseline_sim_alter(surrogate, x, t, total)
-            sim_post = atk.validate(bb, sim_z, t, k)
-
-            agg["pre_hit"] += pre.hit
-            agg["post_hit"] += post.hit
-            agg["pre_mrr"] += pre.reciprocal_rank
-            agg["post_mrr"] += post.reciprocal_rank
-            agg["rand_post_hit"] += rand_post.hit
-            agg["sim_post_hit"] += sim_post.hit
-            agg["plaus_dual"] += plausibility_score(z, comatrix, ac.corel_kind)
-            agg["plaus_rand"] += plausibility_score(rand_z, comatrix, ac.corel_kind)
-            agg["plaus_sim"] += plausibility_score(sim_z, comatrix, ac.corel_kind)
-            agg["plaus_original"] += plausibility_score(x, comatrix, ac.corel_kind)
-            refined_count += int(refined)
-            fallback_steps += info.fallback_steps
-            surrogate_prob_gain += info.target_prob_end - info.target_prob_start
-            rows.append((corpus.users[u], z))
-    n = max(1, len(targets) * len(user_idx))
-    metrics = {key: val / n for key, val in agg.items()}
+    pairs = [(u, t) for t in targets for u in user_idx]
+    arms = {arm: [] for arm in _ARM_METRICS}  # each pair's sequence per arm
+    refined_count, surrogate_prob_gain = 0, 0.0
+    for u, t in pairs:
+        x = corpus.sequences[u]
+        total = max(len(x) + 1, math.ceil(ac.length_factor * len(x)))
+        pair_seed = int(rng.integers(2**31))
+        z, _, refined, info = atk.attack_user(
+            surrogate, comatrix, bb, x, ac.pollution(t, total, pair_seed), ac.eval_k,
+            refine=ac.refine,
+        )
+        arms["original"].append(x)
+        arms["dual"].append(z)
+        arms["rand"].append(atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=pair_seed))
+        arms["sim"].append(atk.baseline_sim_alter(surrogate, x, t, total))
+        refined_count += int(refined)
+        surrogate_prob_gain += info.target_prob_end - info.target_prob_start
+    n = max(1, len(pairs))
+    pair_targets = [t for _, t in pairs]
+    metrics = {}
+    for arm, seqs in arms.items():
+        hit, _, rr = _exposure(victim, seqs, pair_targets, ac.eval_k)
+        prefix = _ARM_METRICS[arm]
+        metrics[f"{prefix}_hit"] = _in_order_sum(hit.tolist()) / n
+        if arm in ("original", "dual"):
+            metrics[f"{prefix}_mrr"] = _in_order_sum(rr.tolist()) / n
+        metrics[f"plaus_{arm}"] = _in_order_sum(
+            [plausibility_score(seq, comatrix, ac.corel_kind) for seq in seqs]) / n
     metrics["attack_success_rate"] = metrics["post_hit"]  # post-attack hit-rate@k
     metrics["refined_count"] = refined_count
-    metrics["fallback_steps"] = fallback_steps
     metrics["surrogate_prob_gain"] = surrogate_prob_gain / n
     metrics["num_pairs"] = n
     metrics["oracle_queries"] = bb.used
 
-    atk.save_polluted_sequences(rows, _out(cfg) / ARTIFACTS["polluted"])
+    atk.save_polluted_sequences([(corpus.users[u], z) for (u, _), z in zip(pairs, arms["dual"])],
+                                _out(cfg) / ARTIFACTS["polluted"])
     return metrics
 
 

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recattack.attack import AttackConfig, validate
 from recattack.config import (
     SCHEMA,
     STAGES,
+    AttackStageConfig,
     ExperimentConfig,
     build_config,
     load_config,
@@ -17,6 +20,7 @@ from recattack.corpus import build_comatrix, corel
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
+    _exposure,
     _ranking_quality,
     agreement_metrics,
     report_bytes_without_timing,
@@ -24,6 +28,7 @@ from recattack.harness import (
     run_alpha_sweep,
     run_pipeline,
 )
+from recattack.oracle import BlackBox
 from recattack.recmodel import RecommenderParams, recommend_topk
 from recattack.synthetic import SyntheticSpec, gen_synthetic_corpus, item_groups
 from recattack import cli
@@ -186,6 +191,7 @@ def test_build_config_applies_and_validates():
         ("attack.num_targets", "0", "attack"),
         ("attack.length_factor", "0", "attack"),
         ("attack.w_g", "1.5", "attack"),
+        ("attack.epsilon", "-1", "attack"),
     ]:
         with pytest.raises(ConfigError, match=rf"^{section}: "):
             build_config({key: value})
@@ -247,6 +253,16 @@ def test_config_fusion_weight_complement():
         build_config({"attack.w_g": "0.8", "attack.w_s": "0.8"})
 
 
+def test_attack_section_builds_each_pairs_attack_config():
+    default = AttackStageConfig().pollution(3, 9, 17)
+    assert default == AttackConfig(target=3, total_length=9, seed=17)
+    ac = build_config({"attack.epsilon": "0.3", "attack.neighbor_k": "4", "attack.w_g": "0.8",
+                       "attack.corel_kind": "ppmi", "attack.n_candidates": "2"}).attack
+    assert ac.pollution(1, 5, 2) == AttackConfig(
+        target=1, total_length=5, epsilon=0.3, n_candidates=2, neighbor_k=4, w_g=0.8,
+        w_s=ac.w_s, corel_kind="ppmi", seed=2)
+
+
 def test_config_file_overrides_flags(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("oracle.k = 33\n")
@@ -273,6 +289,9 @@ def test_pipeline_smoke_all_stages(tmp_path):
                                      + report.stages["attack"]["oracle_queries"])
     assert report.budget["used"] <= report.budget["limit"]
     assert 0.0 <= report.stages["distill"]["agr@5"] <= 1.0
+    # the attacker validates once per pair and once per retry; measuring is free
+    attack = report.stages["attack"]
+    assert attack["oracle_queries"] == attack["num_pairs"] + attack["refined_count"]
 
 
 def _run_outputs(out_dir) -> dict:
@@ -325,6 +344,45 @@ def test_tight_budget_stops_the_attack_however_the_run_is_split(tmp_path):
         assert "attack" not in run_pipeline(cfg).stages
         written = json.loads((Path(cfg.out_dir) / "report.json").read_text())
         assert written["budget"] == {"used": budget, "limit": budget}
+
+
+def test_budget_for_the_attackers_queries_alone_completes_the_run(tmp_path):
+    # synthesis plus at most two validations per pair; the evaluator is not charged
+    pairs = int(TINY["attack.num_users"]) * int(TINY["attack.num_targets"])
+    budget = int(TINY["synth.count"]) * (int(TINY["synth.maxlen"]) - 1) + 2 * pairs
+    extra = {"oracle.budget": str(budget)}
+    full = run_pipeline(tiny_config(tmp_path / "full", extra))
+    staged = tiny_config(tmp_path / "staged", extra)
+    for stage in STAGES:
+        staged.stages = (stage,)
+        report = run_pipeline(staged)
+    assert report.budget == full.budget and full.budget["used"] <= budget
+    assert _run_outputs(tmp_path / "staged") == _run_outputs(tmp_path / "full")
+
+
+def _tied_victim(seed: int, v: int) -> RecommenderParams:
+    # rows drawn from a few integer vectors, so many items tie on every prefix
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 3, size=v)
+    emb = rng.integers(-1, 2, size=(3, 2)).astype(float)[src]
+    return RecommenderParams(emb, rng.integers(0, 2, size=3).astype(float)[src], 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), v=st.integers(2, 12), tied=st.booleans(),
+       n=st.integers(1, 20), data=st.data())
+def test_batched_exposure_equals_validate(seed, v, tied, n, data):
+    rng = np.random.default_rng(seed)
+    victim = _tied_victim(seed, v) if tied else RecommenderParams(
+        rng.normal(size=(v, 3)), rng.normal(size=v), 0.7)
+    k = data.draw(st.integers(1, v))
+    seqs = [[int(i) for i in rng.integers(0, v, size=rng.integers(1, 6))] for _ in range(n)]
+    targets = [int(t) for t in rng.integers(0, v, size=n)]
+    hit, rank, rr = _exposure(victim, seqs, targets, k)
+    bb = BlackBox(victim, k=data.draw(st.integers(k, v)))
+    for i, (seq, t) in enumerate(zip(seqs, targets)):
+        want = validate(bb, seq, t, k)
+        assert (hit[i], rank[i] or None, rr[i]) == (want.hit, want.rank, want.reciprocal_rank)
 
 
 @pytest.mark.parametrize("first", [
@@ -521,11 +579,14 @@ def test_cli_out_of_range_value_exits_1(tmp_path, capsys):
 
 
 def test_cli_section_range_checks_exit_1_before_any_stage(tmp_path, capsys):
-    for setting in ("victim.dim=0", "synth.policy=bogus", "attack.corel_kind=bogus"):
+    for setting in ("victim.dim=0", "synth.policy=bogus", "attack.corel_kind=bogus",
+                    "attack.epsilon=-1"):
         out = tmp_path / setting.split("=")[0]
         assert cli.main(["pipeline", "--out", str(out), "--set", setting]) == 1
         assert f"config error: {setting.split('.')[0]}: " in capsys.readouterr().err
         assert not out.exists()
+    cli.main(["pipeline", "--out", str(tmp_path / "eps"), "--set", "attack.epsilon=-1"])
+    assert "config error: attack: epsilon must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_alpha_sweep_bad_alpha_exits_1_before_any_stage(tmp_path, capsys):
