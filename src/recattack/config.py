@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .attack import AttackConfig
+from .corpus import CORPUS_FORMATS
 from .distill import DistillConfig
 from .errors import ConfigError
 from .recmodel import TrainConfig
@@ -120,8 +121,13 @@ class ExperimentConfig:
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def __post_init__(self):
-        if self.corpus_format not in ("tsv_triples", "sequence_lines"):
+        if self.corpus_format not in CORPUS_FORMATS:
             raise ValueError(f"unknown corpus format {self.corpus_format!r}")
+        if self.comatrix_window < 1:
+            raise ValueError("comatrix.window must be >= 1")
+        ks = self.eval_ks
+        if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+            raise ValueError(f"eval.ks must be one or more distinct values >= 1, got {list(ks)}")
         # the attack validates on the oracle's top-k response, nothing deeper
         if self.attack.eval_k > self.oracle.k:
             raise ValueError(

@@ -24,6 +24,7 @@ from .ranking import topk_ids
 MIN_SEQUENCE_LEN = 3
 
 COREL_KINDS = ("jaccard", "ppmi")
+CORPUS_FORMATS = ("tsv_triples", "sequence_lines")
 
 
 class CorpusFormatError(ValueError):
@@ -139,7 +140,7 @@ def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
     Sequences shorter than MIN_SEQUENCE_LEN after grouping are dropped;
     duplicate consecutive items are retained.
     """
-    if fmt not in ("tsv_triples", "sequence_lines"):
+    if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")
     text = Path(path).read_text(encoding="utf-8")
 

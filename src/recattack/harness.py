@@ -3,7 +3,9 @@
 
 Every stage persists its artifact and a flat metrics record under the output
 directory, so stages can run in one process or as separate invocations that
-resume from files. A whole run is reproducible from (config, seed); the
+resume from files: a stage's inputs come from a context that builds or reads
+each product from those files on first use, unless a stage of the same
+invocation stored it. A whole run is reproducible from (config, seed); the
 report embeds the resolved config and its hash, and its canonical bytes are
 stable across reruns once the timing block is excluded.
 
@@ -18,14 +20,16 @@ validations, one per pair plus one per refine retry. It measures every arm
 directly, one batched ranking per arm, and charges nothing for it.
 
 Both studies run arms: a label, a sub-directory and dotted-key overrides of
-the parent config. Corpus, victim and synthesize run once; each arm's stages
-use their in-memory products, and each arm directory gets copies of the
-shared artifacts and stage records, so it is complete, its oracle is charged
-the shared synthesis, and later stage commands resume from it.
+the parent config. Corpus, victim and synthesize run once; each arm's
+context starts from their products under the arm's config, and each arm
+directory gets copies of the shared artifacts and stage records, so it is
+complete, its oracle is charged the shared synthesis, and later stage
+commands resume from it.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import hashlib
@@ -35,7 +39,7 @@ import math
 import operator
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -92,14 +96,7 @@ class ExperimentReport:
     arm: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "arm": self.arm,
-            "budget": self.budget,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "stages": self.stages,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)
@@ -144,16 +141,45 @@ def report_bytes_without_timing(path) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
 
-@dataclass
 class _Context:
-    """Mutable carrier of in-memory stage products within one invocation."""
+    """One config's stage products within one invocation. Each is built or
+    read from cfg's files on first use, unless a stage of this invocation
+    stored it first."""
 
-    corpus: InteractionCorpus | None = None
-    split: object = None
-    comatrix: CoMatrix | None = None
-    victim: object = None
-    queries: object = None
-    surrogate: object = None
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    def _artifact(self, name: str, hint: str) -> Path:
+        path = Path(self.cfg.out_dir) / ARTIFACTS[name]
+        if not path.exists():
+            raise FileNotFoundError(f"{path} missing; {hint}")
+        return path
+
+    @functools.cached_property
+    def corpus(self) -> InteractionCorpus:
+        if self.cfg.corpus_path:
+            return load_corpus(self.cfg.corpus_path, self.cfg.corpus_format)
+        return load_corpus(self._artifact("corpus", "run the corpus stage or set corpus.path"))
+
+    @functools.cached_property
+    def split(self):
+        return leave_one_out_split(self.corpus)
+
+    @functools.cached_property
+    def comatrix(self) -> CoMatrix:
+        return build_comatrix(self.corpus, self.cfg.comatrix_window)
+
+    @functools.cached_property
+    def victim(self):
+        return load_params(self._artifact("victim", "run the victim stage first"))
+
+    @functools.cached_property
+    def queries(self):
+        return load_queryset(self._artifact("queries", "run the synthesize stage first"))
+
+    @functools.cached_property
+    def surrogate(self):
+        return load_params(self._artifact("surrogate", "run the distill stage first"))
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -174,62 +200,18 @@ def _read_stage_metrics(cfg, stage: str) -> dict | None:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _ensure_corpus(cfg, ctx: _Context) -> InteractionCorpus:
-    if ctx.corpus is None:
-        if cfg.corpus_path:
-            ctx.corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
-        else:
-            saved = Path(cfg.out_dir) / ARTIFACTS["corpus"]
-            if not saved.exists():
-                raise FileNotFoundError(
-                    f"{saved} missing; run the corpus stage or set corpus.path"
-                )
-            ctx.corpus = load_corpus(saved, "sequence_lines")
-    return ctx.corpus
-
-
-def _ensure_split(cfg, ctx: _Context):
-    if ctx.split is None:
-        ctx.split = leave_one_out_split(_ensure_corpus(cfg, ctx))
-    return ctx.split
-
-
-def _ensure_comatrix(cfg, ctx: _Context) -> CoMatrix:
-    if ctx.comatrix is None:
-        ctx.comatrix = build_comatrix(_ensure_corpus(cfg, ctx), cfg.comatrix_window)
-    return ctx.comatrix
-
-
-# stage product -> (its loader, the stage that writes it)
-_PRODUCTS = {
-    "victim": (load_params, "victim"),
-    "queries": (load_queryset, "synthesize"),
-    "surrogate": (load_params, "distill"),
-}
-
-
-def _ensure(cfg, ctx: _Context, name: str):
-    """ctx's `name`, loaded from its artifact in cfg.out_dir unless ctx holds it."""
-    if getattr(ctx, name) is None:
-        load, stage = _PRODUCTS[name]
-        path = Path(cfg.out_dir) / ARTIFACTS[name]
-        if not path.exists():
-            raise FileNotFoundError(f"{path} missing; run the {stage} stage first")
-        setattr(ctx, name, load(path))
-    return getattr(ctx, name)
-
-
 def _queries_spent(cfg, stages) -> int:
     """Oracle queries charged by the saved records of `stages`."""
     return sum((_read_stage_metrics(cfg, stage) or {}).get("oracle_queries", 0)
                for stage in stages)
 
 
-def _oracle(cfg, ctx: _Context, stage: str) -> BlackBox:
+def _oracle(ctx: _Context, stage: str) -> BlackBox:
     """The attacker's black box for `stage`, charged what the records of the
     stages before it spent."""
+    cfg = ctx.cfg
     return BlackBox(
-        _ensure(cfg, ctx, "victim"),
+        ctx.victim,
         k=cfg.oracle.k,
         budget=cfg.resolved_budget(),
         # generate_sequences keeps every pair it needs
@@ -265,16 +247,14 @@ def agreement_metrics(victim, surrogate, prefixes, ks) -> dict:
     return {key: val / n for key, val in out.items()}
 
 
-def _stage_corpus(cfg, ctx: _Context) -> dict:
+def _stage_corpus(ctx: _Context) -> dict:
+    cfg = ctx.cfg
     saved = _out(cfg) / ARTIFACTS["corpus"]
     if cfg.corpus_path:
-        corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
-        save_corpus(corpus, saved)
-    else:
+        save_corpus(ctx.corpus, saved)
+    else:  # later stages get what a later invocation reloads: users 0, 1, ...
         save_corpus(gen_synthetic_corpus(cfg.synthetic), saved)
-        # later stages get what a later invocation reloads: users 0, 1, ...
-        corpus = load_corpus(saved, "sequence_lines")
-    ctx.corpus = corpus
+    corpus = ctx.corpus
     lengths = [len(s) for s in corpus.sequences]
     return {
         "num_users": len(corpus),
@@ -284,9 +264,8 @@ def _stage_corpus(cfg, ctx: _Context) -> dict:
     }
 
 
-def _stage_victim(cfg, ctx: _Context) -> dict:
-    corpus = _ensure_corpus(cfg, ctx)
-    split = _ensure_split(cfg, ctx)
+def _stage_victim(ctx: _Context) -> dict:
+    cfg, corpus, split = ctx.cfg, ctx.corpus, ctx.split
     params = init_params(
         corpus.num_items, cfg.victim.dim, cfg.victim.gamma, cfg.victim.init_seed
     )
@@ -300,8 +279,9 @@ def _stage_victim(cfg, ctx: _Context) -> dict:
     return metrics
 
 
-def _stage_synthesize(cfg, ctx: _Context) -> dict:
-    bb = _oracle(cfg, ctx, "synthesize")
+def _stage_synthesize(ctx: _Context) -> dict:
+    cfg = ctx.cfg
+    bb = _oracle(ctx, "synthesize")
     policy = SamplerPolicy(kind=cfg.synth.policy, alpha=cfg.synth.alpha, tau=cfg.synth.tau)
     queries = generate_sequences(
         bb, policy, cfg.synth.count, cfg.synth.maxlen, cfg.synth.seed
@@ -315,18 +295,16 @@ def _stage_synthesize(cfg, ctx: _Context) -> dict:
     }
 
 
-def _stage_distill(cfg, ctx: _Context) -> dict:
-    corpus = _ensure_corpus(cfg, ctx)
-    queries = _ensure(cfg, ctx, "queries")
+def _stage_distill(ctx: _Context) -> dict:
+    cfg, corpus, queries = ctx.cfg, ctx.corpus, ctx.queries
     init = init_params(
         corpus.num_items, cfg.surrogate.dim, cfg.surrogate.gamma, cfg.surrogate.init_seed
     )
     surrogate = distill_train(queries, cfg.distill, init)
     ctx.surrogate = surrogate
     save_params(surrogate, _out(cfg) / ARTIFACTS["surrogate"])
-    victim = _ensure(cfg, ctx, "victim")
-    split = _ensure_split(cfg, ctx)
-    prefixes = [prefix for prefix, _ in split.test]
+    victim = ctx.victim
+    prefixes = [prefix for prefix, _ in ctx.split.test]
     metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks)
     baseline = agreement_metrics(victim, init, prefixes, cfg.eval_ks)
     for key, val in baseline.items():
@@ -353,23 +331,17 @@ def _exposure(victim, seqs, targets, k: int):
 _ARM_METRICS = {"original": "pre", "dual": "post", "rand": "rand_post", "sim": "sim_post"}
 
 
-def _stage_attack(cfg, ctx: _Context) -> dict:
+def _stage_attack(ctx: _Context) -> dict:
     """Pollute every (user, target) pair with the attacker's oracle, then
     measure every arm on the victim itself: no measurement is charged."""
-    corpus = _ensure_corpus(cfg, ctx)
-    comatrix = _ensure_comatrix(cfg, ctx)
-    surrogate = _ensure(cfg, ctx, "surrogate")
-    victim = _ensure(cfg, ctx, "victim")
-    bb = _oracle(cfg, ctx, "attack")
-    ac = cfg.attack
+    corpus, comatrix, surrogate, victim = ctx.corpus, ctx.comatrix, ctx.surrogate, ctx.victim
+    bb = _oracle(ctx, "attack")
+    ac = ctx.cfg.attack
     rng = np.random.default_rng(ac.seed)
     n_users = min(ac.num_users, len(corpus))
     user_idx = sorted(int(u) for u in rng.choice(len(corpus), size=n_users, replace=False))
 
-    freq = np.zeros(corpus.num_items, dtype=np.int64)
-    for seq in corpus.sequences:
-        freq += np.bincount(np.asarray(seq), minlength=corpus.num_items)
-    order = np.lexsort((np.arange(corpus.num_items), freq))
+    order = np.lexsort((np.arange(corpus.num_items), comatrix.item_counts))
     pool = order[: max(ac.num_targets, corpus.num_items // 4)]
     targets = sorted(
         int(t) for t in rng.choice(pool, size=min(ac.num_targets, pool.size), replace=False)
@@ -410,7 +382,7 @@ def _stage_attack(cfg, ctx: _Context) -> dict:
     metrics["oracle_queries"] = bb.used
 
     atk.save_polluted_sequences([(corpus.users[u], z) for (u, _), z in zip(pairs, arms["dual"])],
-                                _out(cfg) / ARTIFACTS["polluted"])
+                                _out(ctx.cfg) / ARTIFACTS["polluted"])
     return metrics
 
 
@@ -430,9 +402,10 @@ def run_pipeline(
 
     Stage products are persisted under cfg.out_dir with stable names; a stage
     whose inputs were produced by an earlier invocation reloads them from
-    there, unless `ctx` already holds them in memory (the study drivers pass
-    each arm the shared stages' products). Any stage error aborts with the
-    stage name; artifacts already written stay on disk.
+    there, unless `ctx`, a context built for cfg, already holds them in
+    memory (the study drivers pass each arm the shared stages' products).
+    Any stage error aborts with the stage name; artifacts already written
+    stay on disk.
 
     The report is built from every stage record in cfg.out_dir, whichever
     invocation wrote it; the evaluate stage writes it out.
@@ -440,14 +413,17 @@ def run_pipeline(
     for stage in cfg.stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-    ctx = _Context() if ctx is None else ctx
+    if ctx is None:
+        ctx = _Context(cfg)
+    elif ctx.cfg is not cfg:
+        raise ValueError("ctx holds the products of another config")
     timing: dict[str, float] = {}
     for stage, run in _STAGE_FUNCS.items():
         if stage not in cfg.stages:
             continue
         start = time.perf_counter()
         try:
-            _write_stage_metrics(cfg, stage, run(cfg, ctx))
+            _write_stage_metrics(cfg, stage, run(ctx))
         except Exception as exc:
             raise StageError(stage, exc) from exc
         timing[stage] = time.perf_counter() - start
@@ -493,28 +469,30 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport
         ))
         for label, sub, overrides in arms
     ]
-    shared = _Context()
-    run_pipeline(_override(cfg, {"stages": "corpus,victim,synthesize"}), ctx=shared)
+    shared = _Context(_override(cfg, {"stages": "corpus,victim,synthesize"}))
+    run_pipeline(shared.cfg, ctx=shared)
     reports = []
     for label, arm_cfg in configs:
         for name in _SHARED_FILES:
             shutil.copyfile(Path(cfg.out_dir) / name, _out(arm_cfg) / name)
-        ctx = replace(shared)  # the surrogate stays per arm
+        ctx = copy.copy(shared)  # the shared products, under the arm's config
+        ctx.cfg = arm_cfg
         reports.append(run_pipeline(arm_cfg, label, ctx))
-        shared.comatrix = ctx.comatrix
+        if "comatrix" in vars(ctx):  # built once, by the first arm that attacks
+            shared.comatrix = ctx.comatrix
     return reports
 
 
 def run_ablation(cfg: ExperimentConfig, arms) -> list[dict]:
     """Run distill+attack per (loss, signal) arm on a shared victim/query set.
 
-    `arms` is an iterable of "loss+signal" strings or (loss, signal) pairs,
-    loss in LOSS_ARMS, signal in SIGNAL_ARMS. Returns one metrics row per arm
-    and writes ablation.csv / ablation.txt.
+    `arms` is an iterable of "loss+signal" strings, loss in LOSS_ARMS and
+    signal in SIGNAL_ARMS. Returns one metrics row per arm and writes
+    ablation.csv / ablation.txt.
     """
     parsed = []
     for arm in arms:
-        parts = tuple(arm.split("+")) if isinstance(arm, str) else tuple(arm)
+        parts = tuple(arm.split("+"))
         if len(parts) != 2 or parts[0] not in LOSS_ARMS or parts[1] not in SIGNAL_ARMS:
             raise ConfigError(
                 f"bad arm {arm!r}; expected loss in {tuple(LOSS_ARMS)} "

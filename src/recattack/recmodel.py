@@ -121,6 +121,13 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 def init_params(num_items: int, dim: int, gamma: float = 0.8, seed: int = 0) -> RecommenderParams:

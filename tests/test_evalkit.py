@@ -72,6 +72,14 @@ def test_metrics_match_brute_force_random():
         assert agreement_at_k(ranked, other, k) == brute_agreement(ranked, other, k)
 
 
+def test_metrics_reject_k_below_one_and_beyond_the_list():
+    for k in (0, -1, 4):
+        for metric, args in ((recall_at_k, ([3, 1, 2], 3)), (ndcg_at_k, ([3, 1, 2], 3)),
+                             (agreement_at_k, ([3, 1, 2], [1, 2, 3]))):
+            with pytest.raises(ValueError):
+                metric(*args, k)
+
+
 def test_plausibility_extremes_and_mean():
     # adjacent pairs always co-occurring vs never
     corpus = InteractionCorpus(

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from recattack.corpus import build_comatrix, corel
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
+    _Context,
     _exposure,
     _ranking_quality,
     agreement_metrics,
@@ -192,9 +194,28 @@ def test_build_config_applies_and_validates():
         ("attack.length_factor", "0", "attack"),
         ("attack.w_g", "1.5", "attack"),
         ("attack.epsilon", "-1", "attack"),
+        ("victim.train.beta1", "1.0", "victim.train"),
+        ("victim.train.beta1", "1.5", "victim.train"),
+        ("distill.train.beta2", "-0.1", "distill.train"),
+        ("distill.train.eps", "-1", "distill.train"),
+        ("victim.train.weight_decay", "-1", "victim.train"),
     ]:
         with pytest.raises(ConfigError, match=rf"^{section}: "):
             build_config({key: value})
+    # top-level checks name their key
+    for key, value in [("comatrix.window", "0"), ("eval.ks", ""), ("eval.ks", "0,5"),
+                       ("eval.ks", "-1,5"), ("eval.ks", "5,5")]:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+            build_config({key: value})
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = build_config(parse_config_text(block))
+    assert cfg.oracle.budget == 20500
+    assert (cfg.attack.w_g, cfg.attack.w_s) == (0.5, 0.5)
+    assert cfg.eval_ks == (1, 5, 10)
 
 
 def _as_text(value) -> str:
@@ -358,6 +379,55 @@ def test_budget_for_the_attackers_queries_alone_completes_the_run(tmp_path):
         report = run_pipeline(staged)
     assert report.budget == full.budget and full.budget["used"] <= budget
     assert _run_outputs(tmp_path / "staged") == _run_outputs(tmp_path / "full")
+
+
+# (base directory, corpus.path given, budget tight) -> the one-shot run's outputs
+_ONE_SHOT: dict = {}
+
+
+def _split_extra(root: Path, from_file: bool, tight: bool) -> dict:
+    extra = {}
+    if from_file:
+        path = root / "events.tsv"
+        if not path.exists():
+            corpus = gen_synthetic_corpus(SyntheticSpec(
+                num_items=30, num_users=25, num_groups=3, min_len=6, max_len=10, seed=4))
+            path.write_text("".join(f"u{u} i{item} {t}\n" for t in range(10)
+                                    for u, seq in enumerate(corpus.sequences)
+                                    for item in seq[t:t + 1]))
+        extra.update({"corpus.path": str(path), "corpus.format": "tsv_triples"})
+    if tight:  # synthesis plus at most two validations per pair
+        pairs = int(TINY["attack.num_users"]) * int(TINY["attack.num_targets"])
+        budget = int(TINY["synth.count"]) * (int(TINY["synth.maxlen"]) - 1) + 2 * pairs
+        extra["oracle.budget"] = str(budget)
+    return extra
+
+
+@settings(max_examples=20, deadline=None)
+@given(cuts=st.lists(st.booleans(), min_size=len(STAGES) - 1, max_size=len(STAGES) - 1),
+       from_file=st.booleans(), tight=st.booleans())
+def test_any_split_of_the_stages_equals_the_one_shot_run(tmp_path_factory, cuts, from_file,
+                                                         tight):
+    # each invocation is a fresh run_pipeline, as a separate command is
+    root = tmp_path_factory.getbasetemp() / "split_runs"
+    root.mkdir(exist_ok=True)
+    extra = _split_extra(root, from_file, tight)
+    key = (root, from_file, tight)
+    if key not in _ONE_SHOT:
+        one_shot = root / f"one_shot_{from_file}_{tight}"
+        run_pipeline(tiny_config(one_shot, extra))
+        _ONE_SHOT[key] = _run_outputs(one_shot)
+    staged = tmp_path_factory.mktemp("staged")
+    bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), len(STAGES)]
+    for start, stop in zip(bounds, bounds[1:]):
+        run_pipeline(tiny_config(staged, {**extra, "stages": ",".join(STAGES[start:stop])}))
+    assert _run_outputs(staged) == _ONE_SHOT[key]
+
+
+def test_pipeline_rejects_a_context_of_another_config(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    with pytest.raises(ValueError, match="another config"):
+        run_pipeline(cfg, ctx=_Context(tiny_config(tmp_path / "out")))
 
 
 def _tied_victim(seed: int, v: int) -> RecommenderParams:
@@ -587,6 +657,16 @@ def test_cli_section_range_checks_exit_1_before_any_stage(tmp_path, capsys):
         assert not out.exists()
     cli.main(["pipeline", "--out", str(tmp_path / "eps"), "--set", "attack.epsilon=-1"])
     assert "config error: attack: epsilon must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_bad_eval_training_and_window_values_exit_1_before_any_stage(tmp_path, capsys):
+    for setting in ("eval.ks=5,5", "eval.ks=-1,5", "eval.ks=0,5", "eval.ks=",
+                    "comatrix.window=0", "victim.train.beta1=1.0", "victim.train.beta1=1.5",
+                    "distill.train.eps=-1", "victim.train.weight_decay=-1"):
+        out = tmp_path / "out"
+        assert cli.main(cli_args("pipeline", out, ["--set", setting])) == 1, setting
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists(), setting
 
 
 def test_cli_alpha_sweep_bad_alpha_exits_1_before_any_stage(tmp_path, capsys):
