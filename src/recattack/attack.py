@@ -22,7 +22,8 @@ import numpy as np
 from .corpus import COREL_KINDS, CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
 from .oracle import BlackBox
 from .ranking import topk_ids
-from .recmodel import RecommenderParams, appended_scores, ce_last_row_grad, forward_scores
+from .recmodel import (RecommenderParams, appended_scores, ce_last_row_grad, forward_scores,
+                       softmax)
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -73,17 +74,12 @@ class PolluteInfo:
 
 def target_probability(params: RecommenderParams, x, target: int) -> float:
     """Surrogate softmax probability of `target` as the next item after x."""
-    scores = forward_scores(params, x)
-    shifted = scores - scores.max()
-    ex = np.exp(shifted)
-    return float(ex[target] / ex.sum())
+    return float(softmax(forward_scores(params, x))[0][target])
 
 
 def _appended_probabilities(params: RecommenderParams, x, cands, target: int) -> np.ndarray:
     """target_probability(params, x + [c], target) for every candidate c."""
-    scores = appended_scores(params, x, cands)
-    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return ex[:, target] / ex.sum(axis=1)
+    return softmax(appended_scores(params, x, cands))[0][:, target]
 
 
 @dataclass(frozen=True)

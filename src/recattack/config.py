@@ -121,6 +121,9 @@ class ExperimentConfig:
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def __post_init__(self):
+        for name in self.stages:
+            if name not in STAGES:
+                raise ValueError(f"unknown stage {name!r}; valid: {', '.join(STAGES)}")
         if self.corpus_format not in CORPUS_FORMATS:
             raise ValueError(f"unknown corpus format {self.corpus_format!r}")
         if self.comatrix_window < 1:
@@ -170,11 +173,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_stages(text: str) -> tuple[str, ...]:
     if text.strip().lower() == "all":
         return STAGES
-    names = tuple(t for t in text.replace(",", " ").split())
-    for name in names:
-        if name not in STAGES:
-            raise ConfigError(f"unknown stage {name!r}; valid: {', '.join(STAGES)}")
-    return names
+    return tuple(text.replace(",", " ").split())
 
 
 def _opt_int(text: str):

@@ -7,7 +7,9 @@ the k positions. The surrogate's scores for the same k items are normalized
 the same way and pulled toward that target with forward KL, while a pairwise
 hinge term keeps adjacent ranks ordered and ranked items above sampled
 negatives. Both losses come with hand-derived gradients w.r.t. the scores so
-the surrogate can be trained without an autodiff framework.
+the surrogate can be trained without an autodiff framework. Each is written
+once, over a batch of rows; kl_loss, pairwise_loss and distill_loss are that
+path at B = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import QuerySet
-from .recmodel import PrefixPool, RecommenderParams, TrainConfig, _fit
+from .recmodel import PrefixPool, RecommenderParams, TrainConfig, _fit, softmax
 
 
 @dataclass
@@ -61,12 +63,6 @@ def cognitive_prior(k: int, alpha: float) -> np.ndarray:
     return alpha ** np.arange(k, dtype=np.float64)
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
-
-
 def cognitive_distribution(k: int, alpha: float, tau_b: float) -> np.ndarray:
     """Soft target over ranked positions: softmax of v(j) / tau_b.
 
@@ -75,7 +71,7 @@ def cognitive_distribution(k: int, alpha: float, tau_b: float) -> np.ndarray:
     """
     if tau_b <= 0:
         raise ValueError("tau_b must be > 0")
-    return _stable_softmax(cognitive_prior(k, alpha) / tau_b)
+    return softmax(cognitive_prior(k, alpha) / tau_b)[0]
 
 
 def rank_equivalence_check(k: int, alpha: float) -> bool:
@@ -94,106 +90,91 @@ def surrogate_distribution(scores, tau_w: float) -> np.ndarray:
     """Temperature-softened softmax of surrogate scores for the ranked items."""
     if tau_w <= 0:
         raise ValueError("tau_w must be > 0")
-    return _stable_softmax(np.asarray(scores, dtype=np.float64) / tau_w)
+    return softmax(np.asarray(scores, dtype=np.float64) / tau_w)[0]
 
 
-def kl_loss(p_b: np.ndarray, p_w: np.ndarray, tau_w: float = 1.0):
-    """Forward KL(p_b || p_w) and its gradient w.r.t. the surrogate scores.
-
-    p_w must be the tau_w-softened softmax of those scores; the score
-    gradient is then (p_w - p_b) / tau_w.
-    """
-    p_b = np.asarray(p_b, dtype=np.float64)
-    p_w = np.asarray(p_w, dtype=np.float64)
-    if p_b.shape != p_w.shape:
-        raise ValueError("distributions must have equal length")
-    loss = float(np.sum(p_b * (np.log(p_b) - np.log(p_w))))
-    grad_scores = (p_w - p_b) / tau_w
-    return loss, grad_scores
+def _kl_rows(p_b: np.ndarray, s: np.ndarray, tau_w: float):
+    """Forward KL(p_b || softmax(s / tau_w)) of each row of s (B, k), and its
+    gradient w.r.t. s, (softmax(s / tau_w) - p_b) / tau_w."""
+    p_w, log_pw = softmax(s / tau_w)
+    return np.sum(p_b * (np.log(p_b)[None, :] - log_pw), axis=1), (p_w - p_b[None, :]) / tau_w
 
 
-def pairwise_loss(scores, neg_scores, delta1: float, delta2: float):
-    """Hinge losses keeping ranked order locally intact.
-
-    Mean over the k-1 adjacent pairs of max(0, s[j+1] - s[j] + delta1), plus
-    the mean over all negative pairings of max(0, s_neg - s[j] + delta2).
-    neg_scores may be (k,) for one negative per position or (m, k) for m.
-    Subgradient is 0 exactly at hinge kinks. Returns
-    (loss, grad_scores, grad_neg_scores) with grad_neg shaped like neg_scores.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    squeeze = neg.ndim == 1
-    neg2 = neg[None, :] if squeeze else neg
-    k = s.shape[0]
-    if neg2.shape[1] != k:
-        raise ValueError("negative scores must pair with the k ranked scores")
-    gs = np.zeros_like(s)
-    loss = 0.0
-    if k > 1:
-        margin = s[1:] - s[:-1] + delta1
-        active = margin > 0
-        loss += float(margin[active].sum()) / (k - 1)
-        gs[1:] += active / (k - 1)
-        gs[:-1] -= active / (k - 1)
-    nmargin = neg2 - s[None, :] + delta2
-    nactive = nmargin > 0
-    total = neg2.size
-    loss += float(nmargin[nactive].sum()) / total
-    gneg = nactive / total
-    gs -= gneg.sum(axis=0)
-    return loss, gs, (gneg[0] if squeeze else gneg)
-
-
-def distill_loss(cfg: DistillConfig, scores, neg_scores, p_b):
-    """Combined objective lam * pairwise + (1 - lam) * KL with gradients.
-
-    Returns (loss, grad_scores, grad_neg_scores). The KL side is computed
-    from the tau_w-softened softmax of `scores`, so its gradient lands on
-    the same score vector as the pairwise side.
-    """
-    p_w = surrogate_distribution(scores, cfg.tau_w)
-    l_kl, g_kl = kl_loss(np.asarray(p_b, dtype=np.float64), p_w, cfg.tau_w)
-    l_pair, g_pair, g_neg = pairwise_loss(scores, neg_scores, cfg.delta1, cfg.delta2)
-    loss = cfg.lam * l_pair + (1.0 - cfg.lam) * l_kl
-    grad_scores = cfg.lam * g_pair + (1.0 - cfg.lam) * g_kl
-    grad_neg = cfg.lam * g_neg
-    return loss, grad_scores, grad_neg
-
-
-def _batch_losses_and_grads(cfg, s, s_neg, p_b):
-    """Vectorized distill_loss over a batch: s (B,k), s_neg (B,m,k), p_b (k,).
-
-    Returns (mean loss, grad wrt s, grad wrt s_neg) for the MEAN batch loss.
-    """
+def _pair_rows(s: np.ndarray, s_neg: np.ndarray, delta1: float, delta2: float):
+    """Pairwise hinge of each row of s (B, k) against its negatives s_neg
+    (B, m, k): the mean over the k-1 adjacent pairs of
+    max(0, s[j+1] - s[j] + delta1) plus the mean over the m*k negative pairs
+    of max(0, s_neg - s[j] + delta2). Returns (losses, grad s, grad s_neg);
+    the subgradient is 0 exactly at a kink."""
     b, k = s.shape
     m = s_neg.shape[1]
-    shifted = s / cfg.tau_w
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    p_w = ex / ex.sum(axis=1, keepdims=True)
-    log_pw = shifted - np.log(ex.sum(axis=1, keepdims=True))
-    l_kl = np.sum(p_b * (np.log(p_b)[None, :] - log_pw), axis=1)
-    g_kl = (p_w - p_b[None, :]) / cfg.tau_w
-
     g_pair = np.zeros_like(s)
     l_pair = np.zeros(b)
     if k > 1:
-        margin = s[:, 1:] - s[:, :-1] + cfg.delta1
+        margin = s[:, 1:] - s[:, :-1] + delta1
         active = margin > 0
         l_pair += np.where(active, margin, 0.0).sum(axis=1) / (k - 1)
         g_pair[:, 1:] += active / (k - 1)
         g_pair[:, :-1] -= active / (k - 1)
-    nmargin = s_neg - s[:, None, :] + cfg.delta2
+    nmargin = s_neg - s[:, None, :] + delta2
     nactive = nmargin > 0
     l_pair += np.where(nactive, nmargin, 0.0).sum(axis=(1, 2)) / (m * k)
     g_neg = nactive / (m * k)
     g_pair -= g_neg.sum(axis=1)
+    return l_pair, g_pair, g_neg
 
+
+def _batch_losses_and_grads(cfg, s, s_neg, p_b):
+    """The objective lam * pairwise + (1 - lam) * KL over a batch: s (B, k),
+    s_neg (B, m, k), p_b (k,). Returns (mean loss, grad wrt s, grad wrt s_neg)
+    for the MEAN batch loss."""
+    l_kl, g_kl = _kl_rows(p_b, s, cfg.tau_w)
+    l_pair, g_pair, g_neg = _pair_rows(s, s_neg, cfg.delta1, cfg.delta2)
+    b = s.shape[0]
     loss = float(np.mean(cfg.lam * l_pair + (1.0 - cfg.lam) * l_kl))
     gs = (cfg.lam * g_pair + (1.0 - cfg.lam) * g_kl) / b
     gn = (cfg.lam * g_neg) / b
     return loss, gs, gn
+
+
+def _one_row(scores, neg_scores):
+    """scores (k,) and neg_scores (k,) or (m, k) as a B=1 batch (1, k) and
+    (1, m, k), plus the shape to give a negatives' gradient row back."""
+    s = np.asarray(scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    if neg.ndim not in (1, 2) or neg.shape[-1] != s.shape[0]:
+        raise ValueError("negative scores must pair with the k ranked scores")
+    return s[None, :], neg.reshape(1, -1, s.shape[0]), neg.shape
+
+
+def kl_loss(p_b, scores, tau_w: float = 1.0):
+    """Forward KL(p_b || p_w), p_w the tau_w-softened softmax of the
+    surrogate scores, and its gradient w.r.t. those scores, (p_w - p_b) / tau_w."""
+    p_b = np.asarray(p_b, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    if p_b.shape != s.shape:
+        raise ValueError("target and scores must have equal length")
+    loss, grad = _kl_rows(p_b, s[None, :], tau_w)
+    return float(loss[0]), grad[0]
+
+
+def pairwise_loss(scores, neg_scores, delta1: float, delta2: float):
+    """Hinge losses keeping ranked order locally intact, as _pair_rows
+    computes them for one row. neg_scores may be (k,) for one negative per
+    position or (m, k) for m. Returns (loss, grad_scores, grad_neg_scores)
+    with grad_neg shaped like neg_scores."""
+    s, neg, neg_shape = _one_row(scores, neg_scores)
+    loss, gs, gn = _pair_rows(s, neg, delta1, delta2)
+    return float(loss[0]), gs[0], gn[0].reshape(neg_shape)
+
+
+def distill_loss(cfg: DistillConfig, scores, neg_scores, p_b):
+    """Combined objective lam * pairwise + (1 - lam) * KL of one row, with
+    gradients; returns (loss, grad_scores, grad_neg_scores). Both sides take
+    their gradient w.r.t. the same score vector."""
+    s, neg, neg_shape = _one_row(scores, neg_scores)
+    loss, gs, gn = _batch_losses_and_grads(cfg, s, neg, np.asarray(p_b, dtype=np.float64))
+    return loss, gs[0], gn[0].reshape(neg_shape)
 
 
 def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray:

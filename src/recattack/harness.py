@@ -157,9 +157,18 @@ class _Context:
 
     @functools.cached_property
     def corpus(self) -> InteractionCorpus:
-        if self.cfg.corpus_path:
-            return load_corpus(self.cfg.corpus_path, self.cfg.corpus_format)
-        return load_corpus(self._artifact("corpus", "run the corpus stage or set corpus.path"))
+        # every k is checked on the corpus itself: a reloaded synthetic
+        # catalog keeps only the items that appear in it
+        cfg = self.cfg
+        if cfg.corpus_path:
+            corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
+        else:
+            corpus = load_corpus(
+                self._artifact("corpus", "run the corpus stage or set corpus.path"))
+        for key, k in (("eval.ks", max(cfg.eval_ks)), ("oracle.k", cfg.oracle.k)):
+            if k > corpus.num_items:
+                raise ConfigError(f"{key}: k = {k} is above the catalog's V = {corpus.num_items}")
+        return corpus
 
     @functools.cached_property
     def split(self):
@@ -410,9 +419,6 @@ def run_pipeline(
     The report is built from every stage record in cfg.out_dir, whichever
     invocation wrote it; the evaluate stage writes it out.
     """
-    for stage in cfg.stages:
-        if stage not in STAGES:
-            raise ConfigError(f"unknown stage {stage!r}")
     if ctx is None:
         ctx = _Context(cfg)
     elif ctx.cfg is not cfg:

@@ -236,12 +236,15 @@ class PrefixPool:
         return flat.reshape(b, v)
 
 
-def _softmax_rows(scores: np.ndarray):
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    logz = np.log(ex.sum(axis=1)) + scores.max(axis=1)
-    return probs, logz
+def softmax(logits: np.ndarray):
+    """Softmax over the last axis and its log, (probs, log_probs), both
+    shifted by the row maximum so no exponent overflows."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total  # in place: two (..., V) arrays per call, not four
+    shifted -= np.log(total)
+    return probs, shifted
 
 
 def _ce_batch(params: RecommenderParams, pool: np.ndarray, targets):
@@ -253,9 +256,9 @@ def _ce_batch(params: RecommenderParams, pool: np.ndarray, targets):
     n = pool.shape[0]
     hidden = pool @ params.emb
     scores = hidden @ params.emb.T + params.bias
-    probs, logz = _softmax_rows(scores)
+    probs, log_probs = softmax(scores)
     rows = np.arange(n)
-    loss = float(np.mean(logz - scores[rows, targets]))
+    loss = float(np.mean(-log_probs[rows, targets]))
 
     gs = probs
     gs[rows, targets] -= 1.0
@@ -291,8 +294,7 @@ def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
         raise ValueError("target out of range")
     rows = embed(params, x)
     scores = score_all(params, encode(params, rows))
-    probs = np.exp(scores - scores.max())
-    probs /= probs.sum()
+    probs, _ = softmax(scores)
     probs[target] -= 1.0
     return position_weights(params.gamma, rows.shape[0])[-1] * (probs @ params.emb)
 

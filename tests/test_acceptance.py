@@ -23,7 +23,6 @@ from recattack.distill import (
     kl_loss,
     pairwise_loss,
     rank_equivalence_check,
-    surrogate_distribution,
 )
 from recattack.harness import (
     _ranking_quality,
@@ -150,7 +149,7 @@ def _check_loss_instance(rng):
     cfg = ra.DistillConfig(
         lam=float(rng.uniform(0.1, 0.9)), tau_w=tau, delta1=d1, delta2=d2
     )
-    _, g_kl = kl_loss(p_b, surrogate_distribution(s, tau), tau)
+    _, g_kl = kl_loss(p_b, s, tau)
     _, g_pair, g_pneg = pairwise_loss(s, neg, d1, d2)
     _, g_dis, g_dneg = distill_loss(cfg, s, neg, p_b)
     worst = 0.0
@@ -158,13 +157,13 @@ def _check_loss_instance(rng):
         for vec, grads in ((s, (g_kl, g_pair, g_dis)), (neg, (None, g_pneg, g_dneg))):
             vec[j] += FD_STEP
             up = (
-                kl_loss(p_b, surrogate_distribution(s, tau), tau)[0],
+                kl_loss(p_b, s, tau)[0],
                 pairwise_loss(s, neg, d1, d2)[0],
                 distill_loss(cfg, s, neg, p_b)[0],
             )
             vec[j] -= 2 * FD_STEP
             dn = (
-                kl_loss(p_b, surrogate_distribution(s, tau), tau)[0],
+                kl_loss(p_b, s, tau)[0],
                 pairwise_loss(s, neg, d1, d2)[0],
                 distill_loss(cfg, s, neg, p_b)[0],
             )

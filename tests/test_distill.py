@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recattack.distill import (
     DistillConfig,
+    _batch_losses_and_grads,
     _distill_step,
     _sample_negatives,
     cognitive_distribution,
@@ -40,6 +42,40 @@ def brute_force_distribution(k, alpha, tau_b):
     vals = [math.exp(alpha ** j / tau_b) for j in range(k)]
     total = sum(vals)
     return [v / total for v in vals]
+
+
+def reference_objective(cfg, s, neg, p_b):
+    """Plain-Python lam * pairwise + (1 - lam) * KL, the mean over the rows
+    of s (B, k) with negatives neg (B, m, k), and its gradients w.r.t. s and
+    neg: loops over positions and negative pairs, math.exp and math.log."""
+    lam, tau, b = cfg.lam, cfg.tau_w, len(s)
+    total, gs, gn = 0.0, [], []
+    for row, negs in zip(s, neg):
+        k, m = len(row), len(negs)
+        top = max(row) / tau
+        ex = [math.exp(v / tau - top) for v in row]
+        z = sum(ex)
+        kl = sum(p * (math.log(p) - (v / tau - top - math.log(z))) for p, v in zip(p_b, row))
+        g_row = [(1 - lam) * (e / z - p) / tau for e, p in zip(ex, p_b)]
+        pair = 0.0
+        for j in range(k - 1):
+            margin = row[j + 1] - row[j] + cfg.delta1
+            if margin > 0:
+                pair += margin / (k - 1)
+                g_row[j + 1] += lam / (k - 1)
+                g_row[j] -= lam / (k - 1)
+        g_neg = [[0.0] * k for _ in range(m)]
+        for i in range(m):
+            for j in range(k):
+                margin = negs[i][j] - row[j] + cfg.delta2
+                if margin > 0:
+                    pair += margin / (m * k)
+                    g_neg[i][j] = lam / (m * k)
+                    g_row[j] -= lam / (m * k)
+        total += lam * pair + (1 - lam) * kl
+        gs.append([g / b for g in g_row])
+        gn.append([[g / b for g in r] for r in g_neg])
+    return total / b, np.array(gs), np.array(gn)
 
 
 # ------------------------------------------------------------ prior and target
@@ -116,15 +152,15 @@ def test_surrogate_distribution_high_temperature_flattens():
 
 def test_kl_identity_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    loss, grad = kl_loss(p, p, tau_w=1.0)
+    loss, grad = kl_loss(p, np.log(p), tau_w=1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0)
 
 
 def test_kl_frozen_examples():
-    loss, _ = kl_loss(np.array([1 - 1e-12, 1e-12]), np.array([0.5, 0.5]))
+    loss, _ = kl_loss(np.array([1 - 1e-12, 1e-12]), np.log([0.5, 0.5]))
     assert loss == pytest.approx(math.log(2), abs=1e-9)
-    loss2, _ = kl_loss(np.array([0.5, 0.5]), np.array([0.75, 0.25]))
+    loss2, _ = kl_loss(np.array([0.5, 0.5]), np.log([0.75, 0.25]))
     assert loss2 == pytest.approx(0.5 * math.log(4 / 3))
     assert loss2 == pytest.approx(0.1438, abs=1e-4)
 
@@ -135,9 +171,9 @@ def test_kl_nonnegative_random():
         k = int(rng.integers(2, 12))
         a = rng.dirichlet(np.ones(k))
         b = rng.dirichlet(np.ones(k))
-        loss, _ = kl_loss(a, b)
+        loss, _ = kl_loss(a, np.log(b))
         assert loss >= 0.0
-        same, _ = kl_loss(a, a)
+        same, _ = kl_loss(a, np.log(a))
         assert abs(same) < 1e-12
 
 
@@ -148,14 +184,14 @@ def test_kl_grad_matches_finite_differences():
         tau = float(rng.uniform(0.3, 2.0))
         p_b = rng.dirichlet(np.ones(k))
         s = rng.normal(size=k)
-        _, grad = kl_loss(p_b, surrogate_distribution(s, tau), tau)
+        _, grad = kl_loss(p_b, s, tau)
         for j in range(k):
             up = s.copy()
             up[j] += FD_STEP
             dn = s.copy()
             dn[j] -= FD_STEP
-            lu, _ = kl_loss(p_b, surrogate_distribution(up, tau), tau)
-            ld, _ = kl_loss(p_b, surrogate_distribution(dn, tau), tau)
+            lu, _ = kl_loss(p_b, up, tau)
+            ld, _ = kl_loss(p_b, dn, tau)
             assert rel_err((lu - ld) / (2 * FD_STEP), grad[j]) < REL_TOL
 
 
@@ -243,7 +279,7 @@ def test_distill_loss_boundaries_reproduce_constituents():
     for lam, tau_w in ((0.0, 0.7), (1.0, 0.7)):
         cfg = DistillConfig(lam=lam, tau_w=tau_w)
         loss, gs, gn = distill_loss(cfg, s, neg, p_b)
-        l_kl, g_kl = kl_loss(p_b, surrogate_distribution(s, tau_w), tau_w)
+        l_kl, g_kl = kl_loss(p_b, s, tau_w)
         l_pair, gp, gpn = pairwise_loss(s, neg, cfg.delta1, cfg.delta2)
         if lam == 0.0:
             assert loss == l_kl and np.allclose(gs, g_kl) and np.allclose(gn, 0.0)
@@ -356,9 +392,7 @@ def test_distill_train_requires_uniform_k():
 
 
 def test_batch_path_matches_op_level_loss():
-    # the vectorized training path must reproduce distill_loss row by row
-    from recattack.distill import _batch_losses_and_grads
-
+    # the vectorized training path must reproduce the plain-Python reference
     rng = np.random.default_rng(6)
     cfg = DistillConfig(lam=0.35, tau_w=0.8, delta1=0.2, delta2=0.4)
     k, b, m = 7, 4, 2
@@ -366,13 +400,40 @@ def test_batch_path_matches_op_level_loss():
     neg = rng.normal(size=(b, m, k))
     p_b = cognitive_distribution(k, 0.9, 0.5)
     loss, gs, gn = _batch_losses_and_grads(cfg, s, neg, p_b)
-    per_row = []
-    for r in range(b):
+    ref_loss, ref_gs, ref_gn = reference_objective(cfg, s.tolist(), neg.tolist(), p_b.tolist())
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.allclose(gs, ref_gs, rtol=1e-12, atol=1e-15)
+    assert np.allclose(gn, ref_gn, rtol=1e-12, atol=1e-15)
+    for r in range(b):  # the public scalar objective is the batch path's B=1 case
         row_loss, row_gs, row_gn = distill_loss(cfg, s[r], neg[r], p_b)
-        per_row.append(row_loss)
-        assert np.allclose(gs[r] * b, row_gs)
-        assert np.allclose(gn[r] * b, row_gn)
-    assert loss == pytest.approx(np.mean(per_row))
+        ref_loss, ref_gs, ref_gn = reference_objective(cfg, [s[r]], [neg[r]], p_b)
+        assert row_loss == pytest.approx(ref_loss, rel=1e-12)
+        assert np.allclose(row_gs, ref_gs[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(row_gn, ref_gn[0], rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 3)),
+    lam=st.floats(0.0, 1.0),
+    tau_w=st.floats(0.1, 5.0),
+    delta1=st.floats(0.01, 2.0),
+    delta2=st.floats(0.01, 2.0),
+    data=st.data(),
+)
+def test_batch_objective_matches_reference(shape, lam, tau_w, delta1, delta2, data):
+    b, k, m = shape
+    scores = st.lists(st.floats(-5.0, 5.0), min_size=b * (m + 1) * k, max_size=b * (m + 1) * k)
+    flat = np.array(data.draw(scores))
+    s, neg = flat[: b * k].reshape(b, k), flat[b * k :].reshape(b, m, k)
+    cfg = DistillConfig(lam=lam, tau_w=tau_w, delta1=delta1, delta2=delta2)
+    alpha, tau_b = data.draw(st.floats(0.3, 0.99)), data.draw(st.floats(0.25, 2.0))
+    p_b = cognitive_distribution(k, alpha, tau_b)
+    loss, gs, gn = _batch_losses_and_grads(cfg, s, neg, p_b)
+    ref_loss, ref_gs, ref_gn = reference_objective(cfg, s.tolist(), neg.tolist(), p_b.tolist())
+    assert np.allclose(loss, ref_loss, rtol=1e-12, atol=1e-15)
+    assert np.allclose(gs, ref_gs, rtol=1e-12, atol=1e-15)
+    assert np.allclose(gn, ref_gn, rtol=1e-12, atol=1e-15)
 
 
 def test_distill_step_grads_match_finite_differences():
@@ -391,11 +452,11 @@ def test_distill_step_grads_match_finite_differences():
     pooled = PrefixPool.of(prefixes, v, p.gamma).matrix(np.arange(len(prefixes)))
 
     def mean_loss(q):
-        # independent of the batch path: per-prefix forward pass and distill_loss
+        # independent of the batch path: per-prefix forward pass and the reference
         total = 0.0
         for x, r, n in zip(prefixes, r_idx, n_idx):
             s = forward_scores(q, x)
-            total += distill_loss(cfg, s[r], s[n], p_b)[0]
+            total += reference_objective(cfg, [s[r]], [s[n]], p_b)[0]
         return total / len(prefixes)
 
     loss, d_emb, d_bias = _distill_step(cfg, p, pooled, r_idx, n_idx, p_b)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -207,6 +208,14 @@ def test_build_config_applies_and_validates():
                        ("eval.ks", "-1,5"), ("eval.ks", "5,5")]:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
             build_config({key: value})
+
+
+def test_unknown_stage_is_rejected_by_the_config_itself():
+    with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
+        build_config({"stages": "corpus,bogus"})
+    with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+        dataclasses.replace(ExperimentConfig(), stages=("bogus",))
+    assert build_config({"stages": "all"}).stages == STAGES
 
 
 def test_readme_config_example_loads():
@@ -700,6 +709,21 @@ def test_cli_stage_failure_exits_2(tmp_path, capsys):
     rc = cli.main(cli_args("distill", tmp_path / "empty"))
     assert rc == 2
     assert "stage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [({"eval.ks": "1,50"}, "eval.ks"),
+                                        ({"oracle.k": "50", "attack.eval_k": "40"}, "oracle.k")])
+def test_k_above_the_catalog_stops_before_training(tmp_path, extra, key):
+    # the realised catalog may hold fewer items than the spec's 30, so the
+    # check reads V off the corpus
+    flat = [f"--set={k}={v}" for k, v in extra.items()]
+    with pytest.raises(StageError, match=rf"{re.escape(key)}: k = 50 is above the catalog's V = "):
+        run_pipeline(tiny_config(tmp_path / "one", extra))
+    assert not (tmp_path / "one" / "victim.params").exists()
+    staged = tmp_path / "staged"
+    assert cli.main(cli_args("gen-corpus", staged)) == 0
+    assert cli.main(cli_args("train-victim", staged, flat)) == 2
+    assert not (staged / "victim.params").exists()
 
 
 def test_cli_usage_error_exits_1():
