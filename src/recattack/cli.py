@@ -6,7 +6,8 @@ six by default), and the two study drivers (ablation, alpha-sweep). Options
 are dotted config keys via repeated --set KEY=VALUE; a --config file
 overrides flag values. Every command but pipeline fixes its own stages, so
 setting `stages` for it is a config error. Exit codes: 0 ok, 1 usage/config
-error, 2 stage failure.
+error (also when a stage finds a value the data contradicts, such as a k
+above the catalog), 2 stage failure.
 """
 
 from __future__ import annotations
@@ -108,15 +109,12 @@ def main(argv=None) -> int:
             report = run_pipeline(cfg)
             if "evaluate" in cfg.stages:
                 print(report.as_text())
-        elif args.command == "ablation":
-            rows = run_ablation(cfg, [a.strip() for a in args.arms.split(",") if a.strip()])
-            for row in rows:
-                print(row)
         else:
-            alphas = args.alphas.split(",")
-            rows = run_alpha_sweep(
-                cfg, [parse_value("distill.alpha", a)[1] for a in alphas if a.strip()]
-            )
+            if args.command == "ablation":
+                rows = run_ablation(cfg, [a.strip() for a in args.arms.split(",") if a.strip()])
+            else:
+                rows = run_alpha_sweep(cfg, [parse_value("distill.alpha", a)[1]
+                                             for a in args.alphas.split(",") if a.strip()])
             for row in rows:
                 print(row)
     except ConfigError as exc:
@@ -124,7 +122,8 @@ def main(argv=None) -> int:
         return 1
     except StageError as exc:
         print(f"recattack: {exc}", file=sys.stderr)
-        return 2
+        # a value the data contradicts, such as a k above the catalog, is a config error
+        return 1 if isinstance(exc.cause, ConfigError) else 2
     return 0
 
 

@@ -19,12 +19,13 @@ validations, one per pair plus one per refine retry. It measures every arm
 (the original profiles, the polluted ones and both baselines) on the victim
 directly, one batched ranking per arm, and charges nothing for it.
 
-Both studies run arms: a label, a sub-directory and dotted-key overrides of
-the parent config. Corpus, victim and synthesize run once; each arm's
-context starts from their products under the arm's config, and each arm
-directory gets copies of the shared artifacts and stage records, so it is
-complete, its oracle is charged the shared synthesis, and later stage
-commands resume from it.
+Both studies are tables of arms run by `_run_arms`: an arm is a label, a
+sub-directory and dotted-key overrides of the parent config, and a repeated
+label is dropped with a warning. Corpus, victim and synthesize run once;
+each arm's context starts from their products under the arm's config, and
+each arm directory gets copies of the shared artifacts and stage records, so
+it is complete, its oracle is charged the shared synthesis, and later stage
+commands resume from it. Each study writes one CSV, a row per arm.
 """
 
 from __future__ import annotations
@@ -105,13 +106,10 @@ class ExperimentReport:
             encoding="utf-8",
         )
         (out / "report.txt").write_text(self.as_text() + "\n", encoding="utf-8")
-        with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "metric", "value"])
-            for stage in sorted(self.stages):
-                metrics = self.stages[stage]
-                for key in sorted(metrics):
-                    writer.writerow([stage, key, metrics[key]])
+        _write_csv(out / "report.csv", [
+            {"stage": stage, "metric": key, "value": metrics[key]}
+            for stage, metrics in sorted(self.stages.items()) for key in sorted(metrics)
+        ], lead=("stage", "metric", "value"))
 
     def as_text(self) -> str:
         lines = [f"config_hash: {self.config_hash}"]
@@ -165,9 +163,11 @@ class _Context:
         else:
             corpus = load_corpus(
                 self._artifact("corpus", "run the corpus stage or set corpus.path"))
-        for key, k in (("eval.ks", max(cfg.eval_ks)), ("oracle.k", cfg.oracle.k)):
-            if k > corpus.num_items:
-                raise ConfigError(f"{key}: k = {k} is above the catalog's V = {corpus.num_items}")
+        v = corpus.num_items
+        if max(cfg.eval_ks) > v:
+            raise ConfigError(f"eval.ks: k = {max(cfg.eval_ks)} is above the catalog's V = {v}")
+        if cfg.oracle.k >= v:  # distillation needs an item outside the top-k
+            raise ConfigError(f"oracle.k: k = {cfg.oracle.k} is not below the catalog's V = {v}")
         return corpus
 
     @functools.cached_property
@@ -460,111 +460,95 @@ def _override(cfg: ExperimentConfig, flat: dict[str, str]) -> ExperimentConfig:
     return _rebuild(cfg, (), dict(parse_value(key, text) for key, text in flat.items()))
 
 
-def _run_arms(cfg: ExperimentConfig, arms, stages: str) -> list[ExperimentReport]:
-    """Run the shared stages once, then `stages` once per arm; one report per arm.
+def _write_csv(path, rows, lead=()) -> None:
+    """rows under one header: the `lead` columns, then every other key sorted."""
+    keys = [*lead, *sorted({key for row in rows for key in row} - set(lead))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer.writeheader()
+        writer.writerows(rows)
 
-    An arm is (label, sub-directory, {dotted key: text}). All arm configs are
-    built before any stage runs. Arms share the parent's in-memory products,
-    so an override may only touch what the arm's own stages read; each gets
-    copies of the shared files, stage records included. Every run goes through
-    run_pipeline, whose report timing bench/tracing.py reads per stage.
+
+def _run_arms(cfg: ExperimentConfig, arms, stages: str, name: str, row, lead=()) -> list[dict]:
+    """Run the shared stages once, then `stages` once per arm; one row(report)
+    per arm, written to <name>.csv (the `lead` columns first) and returned.
+
+    An arm is (label, sub-directory, {dotted key: text}); a repeated label is
+    dropped with a warning. All arm configs are built before any stage runs.
+    Arms share the parent's in-memory products, so an override may only touch
+    what the arm's own stages read; each gets copies of the shared files,
+    stage records included. Every run goes through run_pipeline, whose report
+    timing bench/tracing.py reads per stage.
     """
-    configs = [
-        (label, _override(
-            cfg, {**overrides, "out_dir": str(Path(cfg.out_dir) / sub), "stages": stages}
-        ))
-        for label, sub, overrides in arms
-    ]
+    table = {}
+    for label, sub, overrides in arms:
+        if label in table:
+            log.warning("duplicate arm %s dropped", label)
+        else:
+            table[label] = _override(
+                cfg, {**overrides, "out_dir": str(Path(cfg.out_dir) / sub), "stages": stages})
+    if not table:
+        raise ConfigError(f"{name}: no arms given")
     shared = _Context(_override(cfg, {"stages": "corpus,victim,synthesize"}))
     run_pipeline(shared.cfg, ctx=shared)
-    reports = []
-    for label, arm_cfg in configs:
-        for name in _SHARED_FILES:
-            shutil.copyfile(Path(cfg.out_dir) / name, _out(arm_cfg) / name)
+    rows = []
+    for label, arm_cfg in table.items():
+        for shared_file in _SHARED_FILES:
+            shutil.copyfile(Path(cfg.out_dir) / shared_file, _out(arm_cfg) / shared_file)
         ctx = copy.copy(shared)  # the shared products, under the arm's config
         ctx.cfg = arm_cfg
-        reports.append(run_pipeline(arm_cfg, label, ctx))
+        rows.append(row(run_pipeline(arm_cfg, label, ctx)))
         if "comatrix" in vars(ctx):  # built once, by the first arm that attacks
             shared.comatrix = ctx.comatrix
-    return reports
+    _write_csv(Path(cfg.out_dir) / f"{name}.csv", rows, lead)
+    return rows
 
 
 def run_ablation(cfg: ExperimentConfig, arms) -> list[dict]:
     """Run distill+attack per (loss, signal) arm on a shared victim/query set.
 
     `arms` is an iterable of "loss+signal" strings, loss in LOSS_ARMS and
-    signal in SIGNAL_ARMS. Returns one metrics row per arm and writes
-    ablation.csv / ablation.txt.
+    signal in SIGNAL_ARMS, at least two of them distinct. Returns one metrics
+    row per arm and writes ablation.csv.
     """
-    parsed = []
+    table = []
     for arm in arms:
-        parts = tuple(arm.split("+"))
-        if len(parts) != 2 or parts[0] not in LOSS_ARMS or parts[1] not in SIGNAL_ARMS:
+        loss, _, signal = arm.partition("+")
+        if loss not in LOSS_ARMS or signal not in SIGNAL_ARMS:
             raise ConfigError(
                 f"bad arm {arm!r}; expected loss in {tuple(LOSS_ARMS)} "
                 f"and signal in {tuple(SIGNAL_ARMS)}"
             )
-        if parts not in parsed:
-            parsed.append(parts)
-    if len(parsed) < 2:
+        table.append((arm, f"arm_{loss}_{signal}", {**LOSS_ARMS[loss], **SIGNAL_ARMS[signal]}))
+    if len({label for label, _, _ in table}) < 2:
         raise ConfigError("ablation needs at least 2 distinct arms")
 
-    reports = _run_arms(cfg, [
-        (f"{loss}+{signal}", f"arm_{loss}_{signal}", {**LOSS_ARMS[loss], **SIGNAL_ARMS[signal]})
-        for loss, signal in parsed
-    ], "distill,attack,evaluate")
-    victim_blob = (Path(cfg.out_dir) / ARTIFACTS["victim"]).read_bytes()
-    victim_hash = hashlib.sha256(victim_blob).hexdigest()[:16]
-    rows = []
-    for report in reports:
-        row = {"arm": report.arm, "victim_hash": victim_hash}
-        for key in ("agr@1", f"agr@{max(cfg.eval_ks)}"):
-            if key in report.stages.get("distill", {}):
-                row[key] = report.stages["distill"][key]
-        for key in ("post_hit", "rand_post_hit", "plaus_dual", "pre_hit"):
-            if key in report.stages.get("attack", {}):
-                row[key] = report.stages["attack"][key]
-        rows.append(row)
+    victim = Path(cfg.out_dir) / ARTIFACTS["victim"]
 
-    keys = sorted({k for row in rows for k in row})
-    with open(Path(cfg.out_dir) / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
-    text = "\n".join(
-        ", ".join(f"{k}={row.get(k)}" for k in keys if k in row) for row in rows
-    )
-    (Path(cfg.out_dir) / "ablation.txt").write_text(text + "\n", encoding="utf-8")
-    return rows
+    def row(report):
+        distill, attack = report.stages["distill"], report.stages["attack"]
+        return {
+            "arm": report.arm,
+            "victim_hash": hashlib.sha256(victim.read_bytes()).hexdigest()[:16],
+            **{key: distill[key] for key in ("agr@1", f"agr@{max(cfg.eval_ks)}")},
+            **{key: attack[key] for key in ("post_hit", "rand_post_hit", "plaus_dual", "pre_hit")},
+        }
+
+    return _run_arms(cfg, table, "distill,attack,evaluate", "ablation", row)
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, alphas) -> list[dict]:
     """Distill once per decay value on a shared query set; tabulate agreement.
 
-    Duplicate alphas are dropped with a warning; a value outside (0, 1) is
+    A repeated alpha is dropped with a warning; a value outside (0, 1) is
     distill.alpha's config error. Writes alpha_sweep.csv (plot data) and
     returns the rows.
     """
-    uniq = []
-    for a in map(float, alphas):
-        if a in uniq:
-            log.warning("duplicate alpha %s dropped", a)
-            continue
-        uniq.append(a)
-    if not uniq:
-        raise ConfigError("no alpha values given")
 
-    reports = _run_arms(cfg, [
-        (f"alpha={a!r}", f"alpha_{a!r}", {"distill.alpha": repr(a)}) for a in uniq
-    ], "distill,evaluate")
-    rows = []
-    for a, report in zip(uniq, reports):
-        distill = report.stages.get("distill", {})
-        rows.append({"alpha": a, **{k: v for k, v in distill.items() if k.startswith("agr@")}})
+    def row(report):
+        agreement = {k: v for k, v in report.stages["distill"].items() if k.startswith("agr@")}
+        return {"alpha": report.config["distill"]["alpha"], **agreement}
 
-    keys = ["alpha"] + sorted({k for row in rows for k in row if k != "alpha"})
-    with open(Path(cfg.out_dir) / "alpha_sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
-    return rows
+    return _run_arms(cfg, [
+        (f"alpha={a!r}", f"alpha_{a!r}", {"distill.alpha": repr(a)}) for a in map(float, alphas)
+    ], "distill,evaluate", "alpha_sweep", row, lead=("alpha",))

@@ -18,7 +18,7 @@ from recattack.config import (
     load_config,
     parse_config_text,
 )
-from recattack.corpus import build_comatrix, corel
+from recattack.corpus import build_comatrix, corel, load_corpus
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
@@ -510,19 +510,33 @@ def test_ablation_rows_share_victim(tmp_path):
 
 def test_ablation_requires_two_arms(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    with pytest.raises(ConfigError):
-        run_ablation(cfg, ["combined+dual"])
-    with pytest.raises(ConfigError):
-        run_ablation(cfg, ["combined+dual", "bogus+dual"])
+    for arms in (["combined+dual"], ["combined+dual", "combined+dual"],
+                 ["combined+dual", "bogus+dual"]):
+        with pytest.raises(ConfigError):
+            run_ablation(cfg, arms)
+    assert not (tmp_path / "out").exists()
 
 
-def test_alpha_sweep_rows_and_dedup(tmp_path, caplog):
+# study -> (run function, arms with the first one repeated, the row key naming the
+# arm, the label of the repeated arm, the study's CSV)
+DEDUP = {
+    "ablation": (run_ablation, ["combined+dual", "kl_only+grad_only", "combined+dual"], "arm",
+                 "combined+dual", "ablation.csv"),
+    "sweep": (run_alpha_sweep, [0.7, 0.97, 0.7], "alpha", "alpha=0.7", "alpha_sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("study", sorted(DEDUP))
+def test_study_rows_and_dedup(tmp_path, caplog, study):
+    run_study, arms, key, repeated, table = DEDUP[study]
     cfg = tiny_config(tmp_path / "out")
     with caplog.at_level("WARNING"):
-        rows = run_alpha_sweep(cfg, [0.7, 0.97, 0.7])
-    assert [r["alpha"] for r in rows] == [0.7, 0.97]
-    assert any("duplicate" in rec.message for rec in caplog.records)
-    assert (tmp_path / "out" / "alpha_sweep.csv").exists()
+        rows = run_study(cfg, arms)
+    assert [r[key] for r in rows] == arms[:2]
+    assert [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"] == [
+        f"duplicate arm {repeated} dropped"]
+    lines = (tmp_path / "out" / table).read_text().splitlines()
+    assert len(lines) == 3 and key in lines[0].split(",")
     for row in rows:
         assert "agr@1" in row and "agr@5" in row
 
@@ -711,18 +725,25 @@ def test_cli_stage_failure_exits_2(tmp_path, capsys):
     assert "stage" in capsys.readouterr().err
 
 
+# "V" stands for the realised catalog size
 @pytest.mark.parametrize("extra, key", [({"eval.ks": "1,50"}, "eval.ks"),
-                                        ({"oracle.k": "50", "attack.eval_k": "40"}, "oracle.k")])
+                                        ({"oracle.k": "50", "attack.eval_k": "40"}, "oracle.k"),
+                                        ({"oracle.k": "V"}, "oracle.k")])
 def test_k_above_the_catalog_stops_before_training(tmp_path, extra, key):
     # the realised catalog may hold fewer items than the spec's 30, so the
-    # check reads V off the corpus
-    flat = [f"--set={k}={v}" for k, v in extra.items()]
-    with pytest.raises(StageError, match=rf"{re.escape(key)}: k = 50 is above the catalog's V = "):
-        run_pipeline(tiny_config(tmp_path / "one", extra))
-    assert not (tmp_path / "one" / "victim.params").exists()
+    # check reads V off the corpus; distillation needs an item outside the
+    # oracle's top-k, so oracle.k = V is rejected too
     staged = tmp_path / "staged"
     assert cli.main(cli_args("gen-corpus", staged)) == 0
-    assert cli.main(cli_args("train-victim", staged, flat)) == 2
+    v = load_corpus(staged / "corpus.txt").num_items
+    extra = {name: str(v) if value == "V" else value for name, value in extra.items()}
+    k = extra[key].split(",")[-1]
+    want = "is above" if key == "eval.ks" else "is not below"
+    with pytest.raises(StageError, match=rf"{re.escape(key)}: k = {k} {want} the catalog's V = {v}$"):
+        run_pipeline(tiny_config(tmp_path / "one", extra))
+    assert not (tmp_path / "one" / "victim.params").exists()
+    flat = [f"--set={name}={value}" for name, value in extra.items()]
+    assert cli.main(cli_args("train-victim", staged, flat)) == 1
     assert not (staged / "victim.params").exists()
 
 
