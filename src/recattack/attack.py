@@ -22,8 +22,7 @@ import numpy as np
 from .corpus import COREL_KINDS, CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
 from .oracle import BlackBox
 from .ranking import topk_ids
-from .recmodel import (RecommenderParams, appended_scores, ce_last_row_grad, forward_scores,
-                       softmax)
+from .recmodel import RecommenderParams, appended_scores, ce_last_row_grad, forward_scores
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -72,14 +71,21 @@ class PolluteInfo:
     target_prob_end: float
 
 
+def _softmax_column(scores: np.ndarray, target: int):
+    """recmodel.softmax(scores)[0][..., target], bit for bit, without
+    normalising the other columns or forming the log."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e[..., target] / e.sum(axis=-1)
+
+
 def target_probability(params: RecommenderParams, x, target: int) -> float:
     """Surrogate softmax probability of `target` as the next item after x."""
-    return float(softmax(forward_scores(params, x))[0][target])
+    return float(_softmax_column(forward_scores(params, x), target))
 
 
 def _appended_probabilities(params: RecommenderParams, x, cands, target: int) -> np.ndarray:
     """target_probability(params, x + [c], target) for every candidate c."""
-    return softmax(appended_scores(params, x, cands))[0][:, target]
+    return _softmax_column(appended_scores(params, x, cands), target)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recattack.attack import (
     AttackConfig,
@@ -22,7 +23,7 @@ from recattack.attack import (
 )
 from recattack.corpus import CoMatrix, InteractionCorpus, build_comatrix, corel
 from recattack.oracle import BlackBox
-from recattack.recmodel import RecommenderParams
+from recattack.recmodel import RecommenderParams, softmax
 from scipy import sparse
 
 
@@ -266,6 +267,24 @@ def test_appended_probabilities_match_forward_passes():
         cands = np.array([0, 4, 8, 2])
         want = [target_probability(p, x + [int(c)], 5) for c in cands]
         assert np.allclose(_appended_probabilities(p, x, cands, 5), want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+        elements=st.floats(-800.0, 800.0, allow_nan=False),
+    ),
+    data=st.data(),
+)
+def test_target_column_is_the_softmax_column_bit_for_bit(scores, data):
+    from recattack.attack import _softmax_column
+
+    t = data.draw(st.integers(0, scores.shape[-1] - 1))
+    got = _softmax_column(scores, t)
+    assert np.array_equal(got, softmax(scores)[0][..., t])
+    assert np.shape(got) == scores.shape[:-1]
 
 
 def test_pollute_gradient_only_ignores_empty_comatrix_weighting():

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from recattack.config import (
     load_config,
     parse_config_text,
 )
-from recattack.corpus import build_comatrix, corel, load_corpus
+from recattack.corpus import InteractionCorpus, build_comatrix, corel, load_corpus, save_corpus
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
@@ -33,7 +35,8 @@ from recattack.harness import (
 )
 from recattack.oracle import BlackBox
 from recattack.recmodel import RecommenderParams, recommend_topk
-from recattack.synthetic import SyntheticSpec, gen_synthetic_corpus, item_groups
+from recattack.synthetic import (SyntheticSpec, _cdf, gen_synthetic_corpus, item_groups,
+                                 item_weights)
 from recattack import cli
 
 TINY = {
@@ -125,6 +128,119 @@ def test_synthetic_infeasible_spec_rejected():
         SyntheticSpec(min_len=12, max_len=5)
     with pytest.raises(ConfigError):
         SyntheticSpec(num_items=5)
+
+
+def _reference_corpus(spec):
+    """The draw-by-draw generator that gen_synthetic_corpus replaced: every
+    event rebuilds its pool and weights and makes one scalar rng.choice."""
+
+    def draw(rng, pool, weights):
+        w = weights / weights.sum()
+        return int(pool[rng.choice(pool.size, p=w)])
+
+    rng = np.random.default_rng(spec.seed)
+    groups = item_groups(spec)
+    members = [np.flatnonzero(groups == g) for g in range(spec.num_groups)]
+    pop = item_weights(spec)
+    sequences = []
+    for _ in range(spec.num_users):
+        length = spec.min_len
+        while length < spec.max_len and rng.random() < spec.continue_prob:
+            length += 1
+        cur = draw(rng, np.arange(spec.num_items), pop)
+        seq = [cur]
+        for _ in range(length - 1):
+            g = groups[cur]
+            own = members[g]
+            if rng.random() < spec.p_stay and own.size > 1:
+                pool = own[own != cur]
+                w = pop[pool]
+                if spec.locality > 0:
+                    ranks = np.searchsorted(own, pool)
+                    cur_rank = int(np.searchsorted(own, cur))
+                    dist = np.abs(ranks - cur_rank)
+                    dist = np.minimum(dist, own.size - dist)
+                    w = w * np.exp(-dist / spec.locality)
+            else:
+                pool = np.flatnonzero(groups != g)
+                w = pop[pool]
+            if pool.size == 0:
+                pool = own[own != cur]
+                w = pop[pool]
+            cur = draw(rng, pool, w)
+            seq.append(cur)
+        sequences.append(tuple(seq))
+    return InteractionCorpus(
+        users=tuple(f"u{i}" for i in range(spec.num_users)),
+        sequences=tuple(sequences),
+        num_items=spec.num_items,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_synthetic_matches_the_draw_by_draw_reference(data):
+    num_items = data.draw(st.integers(10, 24))
+    min_len = data.draw(st.integers(3, 8))
+    spec = SyntheticSpec(
+        num_items=num_items,
+        num_users=data.draw(st.integers(10, 16)),
+        num_groups=data.draw(st.integers(1, num_items)),
+        p_stay=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        min_len=min_len,
+        max_len=data.draw(st.integers(min_len, 10)),
+        continue_prob=data.draw(st.sampled_from([0.0, 0.5, 0.9])),
+        popularity_skew=data.draw(st.sampled_from([0.0, 0.5, 2.0])),
+        locality=data.draw(st.sampled_from([0.0, 0.5, 8.0])),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    assert gen_synthetic_corpus(spec) == _reference_corpus(spec)
+
+
+class _FixedUniform(np.random.Generator):
+    """A generator whose random() returns u: Generator.choice draws through it."""
+
+    u = 0.0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30))
+def test_synthetic_cdf_draws_what_choice_draws_at_every_edge(weights):
+    # random uniforms almost never land within an ulp of a table entry, so
+    # the entries and their neighbours are probed one by one
+    w = np.array(weights)
+    cdf = _cdf(w, SyntheticSpec(), "popularity_skew").tolist()
+    rng = _FixedUniform(np.random.PCG64(0))
+    for edge in cdf:
+        for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            if u < 1.0:
+                rng.u = float(u)
+                assert bisect_right(cdf, rng.u) == int(rng.choice(w.size, p=w / w.sum()))
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (SyntheticSpec(), "0837e10867b774977d61cc8044cdf8657ba3b24eafc9d5681212397a16cb413b"),
+    (SyntheticSpec(num_items=2000, num_users=1000, num_groups=100),
+     "caf5954d3c124aeb912499dc145bdfa12296a85071aa2ee833d4ee86fd675cf5"),
+], ids=["default", "pollute"])
+def test_synthetic_corpus_bytes_are_pinned(tmp_path, spec, digest):
+    # the default corpus and the benchmark's 2,000-item one, as every earlier
+    # version of the generator wrote them
+    save_corpus(gen_synthetic_corpus(spec), tmp_path / "corpus.txt")
+    assert hashlib.sha256((tmp_path / "corpus.txt").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key, value", [("locality", "0.001"), ("popularity_skew", "2000")])
+def test_underflowing_draw_weights_are_a_config_error(tmp_path, key, value):
+    # every within-group weight underflows to 0: no table may hold NaNs
+    with pytest.raises(ConfigError, match=f"^{key} = "):
+        gen_synthetic_corpus(SyntheticSpec(**{key: float(value)}))
+    out = tmp_path / "run"
+    assert cli.main(["gen-corpus", "--out", str(out), "--set", f"corpus.synthetic.{key}={value}"]) == 1
+    assert not (out / "corpus.txt").exists()
 
 
 def _group_jaccard_gap(p_stay, seed=0):
