@@ -121,9 +121,7 @@ class ExperimentConfig:
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def __post_init__(self):
-        for name in self.stages:
-            if name not in STAGES:
-                raise ValueError(f"unknown stage {name!r}; valid: {', '.join(STAGES)}")
+        self.check_stages()
         if self.corpus_format not in CORPUS_FORMATS:
             raise ValueError(f"unknown corpus format {self.corpus_format!r}")
         if self.comatrix_window < 1:
@@ -136,6 +134,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"attack.eval_k ({self.attack.eval_k}) must be <= oracle.k ({self.oracle.k})"
             )
+
+    def check_stages(self) -> None:
+        if unknown := [name for name in self.stages if name not in STAGES]:
+            raise ConfigError(f"unknown stage {unknown[0]!r}; valid: {', '.join(STAGES)}")
 
     def resolved_budget(self) -> int:
         if self.oracle.budget is not None:

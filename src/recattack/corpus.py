@@ -12,10 +12,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .ranking import topk_ids
 
@@ -69,15 +69,29 @@ class SplitDataset:
 class CoMatrix:
     """Symmetric windowed co-occurrence counts plus marginals.
 
-    `pair_counts[i, j]` is the number of position pairs at distance <= window
-    where items i != j co-occur in a sequence; `item_counts[i]` counts every
-    occurrence of i; `total_positions` is the number of positions scanned.
+    The pair counts are in canonical CSR form: row i's partners j, ascending
+    without repeats, are `col_ids[row_ptr[i]:row_ptr[i + 1]]`, and `co_counts`
+    holds the number of position pairs at distance <= window where i != j
+    co-occur in a sequence. `item_counts[i]` counts every occurrence of i;
+    `total_positions` is the number of positions scanned.
     """
 
-    pair_counts: sparse.csr_matrix
+    row_ptr: np.ndarray
+    col_ids: np.ndarray
+    co_counts: np.ndarray
     item_counts: np.ndarray
     total_positions: int
     window: int
+
+    def __post_init__(self):
+        # corel bisects each row, so a layout that is not canonical would
+        # read wrong counts without an error
+        v, ptr, cols = self.num_items, self.row_ptr, self.col_ids
+        if not (len(ptr) == v + 1 and ptr[0] == 0 and ptr[-1] == len(cols) == len(self.co_counts)
+                and (np.diff(ptr) >= 0).all() and (cols >= 0).all() and (cols < v).all()
+                and (np.diff(np.repeat(np.arange(v), np.diff(ptr)) * v + cols) > 0).all()):
+            raise ValueError(f"pair counts not in canonical CSR form over {v} items: row_ptr "
+                             "must rise from 0 to the number of pairs, col_ids ascend in rows")
 
     @property
     def num_items(self) -> int:
@@ -85,21 +99,12 @@ class CoMatrix:
 
     @cached_property
     def _lookup(self):
-        """(indptr, indices, data, item_counts) for scalar `corel`, built once.
-
-        indptr and item_counts are lists; indices and data are memoryviews
-        of a canonical CSR (sorted column ids, no duplicates), so row i's
-        count for column j is one bisection. A non-canonical `pair_counts`
-        is canonicalised on a copy; the caller's matrix is never changed.
-        """
-        pc = self.pair_counts
-        if not pc.has_canonical_format:
-            pc = pc.copy()
-            pc.sum_duplicates()
+        """(row_ptr, item_counts) as lists and (col_ids, co_counts) as
+        memoryviews for scalar `corel`, built once."""
         return (
-            pc.indptr.tolist(),
-            memoryview(pc.indices),
-            memoryview(pc.data),
+            self.row_ptr.tolist(),
+            memoryview(self.col_ids),
+            memoryview(self.co_counts),
             self.item_counts.tolist(),
         )
 
@@ -226,38 +231,27 @@ def build_comatrix(corpus: InteractionCorpus, window: int = 5) -> CoMatrix:
 
     Each position pair (p, q) with 0 < q - p <= window contributes one count
     to the unordered pair (x_p, x_q); same-item pairs are skipped so the
-    diagonal stays empty.
+    diagonal stays empty. Both orientations of every pair are encoded as
+    row * V + column and counted by one sort, which leaves them in CSR order.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     v = corpus.num_items
-    item_counts = np.zeros(v, dtype=np.int64)
-    total = 0
-    rows, cols = [], []
-    for seq in corpus.sequences:
-        arr = np.asarray(seq, dtype=np.int64)
-        item_counts += np.bincount(arr, minlength=v)
-        total += arr.size
-        for off in range(1, min(window, arr.size - 1) + 1):
-            a, b = arr[:-off], arr[off:]
-            keep = a != b
-            if keep.any():
-                lo = np.minimum(a[keep], b[keep])
-                hi = np.maximum(a[keep], b[keep])
-                rows.append(lo)
-                cols.append(hi)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        upper = sparse.coo_matrix(
-            (np.ones(r.size, dtype=np.int64), (r, c)), shape=(v, v)
-        ).tocsr()
-        counts = (upper + upper.T).tocsr()
-    else:
-        counts = sparse.csr_matrix((v, v), dtype=np.int64)
-    return CoMatrix(
-        pair_counts=counts, item_counts=item_counts, total_positions=total, window=window
-    )
+    seqs = corpus.sequences
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for off in range(1, min(window, lengths.max(initial=0) - 1) + 1):
+        a, b = items[:-off], items[off:]
+        keep = (owner[:-off] == owner[off:]) & (a != b)
+        a, b = a[keep], b[keep]
+        keys += [a * v + b, b * v + a]
+    pairs, co_counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows, col_ids = np.divmod(pairs, v)
+    idx = np.int32 if max(v, pairs.size) < 2**31 else np.int64  # scipy's index rule
+    return CoMatrix(np.searchsorted(rows, np.arange(v + 1)).astype(idx), col_ids.astype(idx),
+                    co_counts, np.bincount(items, minlength=v), int(items.size), window)
 
 
 def corel(m: CoMatrix, i: int, j: int, kind: str = "jaccard") -> float:
@@ -269,7 +263,7 @@ def corel(m: CoMatrix, i: int, j: int, kind: str = "jaccard") -> float:
     Position-pair counting lets c(i,j) exceed c(i)+c(j)-c(i,j) when an item
     repeats inside the window, so the jaccard denominator is floored at
     c(i,j) to keep the score in [0, 1]. c(i,j) is found by bisecting row i
-    of the canonical CSR counts; ids outside [0, V) raise ValueError.
+    of the CSR counts; ids outside [0, V) raise ValueError.
     """
     if kind not in COREL_KINDS:
         raise ValueError(f"unknown corel kind {kind!r}")
@@ -299,9 +293,8 @@ def corel_row(m: CoMatrix, t: int, kind: str = "jaccard") -> np.ndarray:
         raise ValueError(f"unknown corel kind {kind!r}")
     if not 0 <= t < m.num_items:
         raise ValueError(f"item {t} outside [0, {m.num_items})")
-    pc = m.pair_counts
-    lo, hi = pc.indptr[t], pc.indptr[t + 1]
-    cpair = np.bincount(pc.indices[lo:hi], weights=pc.data[lo:hi], minlength=m.num_items)
+    lo, hi = m.row_ptr[t], m.row_ptr[t + 1]
+    cpair = np.bincount(m.col_ids[lo:hi], weights=m.co_counts[lo:hi], minlength=m.num_items)
     counts = m.item_counts.astype(np.float64)
     ct = counts[t]
     out = np.zeros(m.num_items, dtype=np.float64)

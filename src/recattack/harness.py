@@ -419,6 +419,7 @@ def run_pipeline(
     The report is built from every stage record in cfg.out_dir, whichever
     invocation wrote it; the evaluate stage writes it out.
     """
+    cfg.check_stages()  # the config is mutable: no stage runs on a bad name
     if ctx is None:
         ctx = _Context(cfg)
     elif ctx.cfg is not cfg:

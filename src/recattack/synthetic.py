@@ -66,7 +66,8 @@ def item_weights(spec: SyntheticSpec) -> np.ndarray:
     """
     groups = item_groups(spec)
     rank = np.arange(spec.num_items) - np.searchsorted(groups, groups)
-    return 1.0 / (1.0 + rank) ** spec.popularity_skew
+    with np.errstate(over="ignore"):  # an overflow gives weight 0.0, which _cdf reports
+        return 1.0 / (1.0 + rank) ** spec.popularity_skew
 
 
 def _cdf(weights: np.ndarray, spec: SyntheticSpec, field: str) -> np.ndarray:

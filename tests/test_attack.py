@@ -21,10 +21,11 @@ from recattack.attack import (
     target_probability,
     validate,
 )
-from recattack.corpus import CoMatrix, InteractionCorpus, build_comatrix, corel
+from recattack.corpus import InteractionCorpus, build_comatrix, corel
 from recattack.oracle import BlackBox
 from recattack.recmodel import RecommenderParams, softmax
-from scipy import sparse
+
+from dense_csr import comatrix_from_dense
 
 
 def rand_params(rng, v=8, d=4, gamma=0.8):
@@ -36,12 +37,7 @@ def rand_params(rng, v=8, d=4, gamma=0.8):
 
 
 def empty_comatrix(v):
-    return CoMatrix(
-        pair_counts=sparse.csr_matrix((v, v), dtype=np.int64),
-        item_counts=np.zeros(v, dtype=np.int64),
-        total_positions=0,
-        window=5,
-    )
+    return comatrix_from_dense(np.zeros((v, v), dtype=np.int64), np.zeros(v), 0, 5)
 
 
 def toy_comatrix(rng, v, nseq=5, length=6, window=2):
@@ -103,7 +99,7 @@ def test_collab_signal_minmax_normalization():
     item = np.array([3, 2, 3, 5], dtype=np.int64)
     pair[0, 1] = pair[1, 0] = 1  # jaccard 1/(3+2-1) = 1/4
     pair[0, 2] = pair[2, 0] = 3  # jaccard 3/(3+3-3) = 1
-    m = CoMatrix(sparse.csr_matrix(pair), item, 13, 2)
+    m = comatrix_from_dense(pair, item, 13, 2)
     raw = {j: corel(m, j, 0) for j in (1, 2, 3)}
     assert raw == {1: 0.25, 2: 1.0, 3: 0.0}
     normed = collab_signal(m, 0, [1, 2, 3])
@@ -124,7 +120,7 @@ def test_collab_signal_reference_scaling():
     item = np.array([2, 2, 2, 3], dtype=np.int64)
     pair[0, 1] = pair[1, 0] = 1  # 1/(2+2-1) = 1/3
     pair[0, 3] = pair[3, 0] = 2  # 2/(2+3-2) = 2/3
-    m = CoMatrix(sparse.csr_matrix(pair), item, 9, 2)
+    m = comatrix_from_dense(pair, item, 9, 2)
     raw = [corel(m, j, 0) for j in (2, 1, 3)]
     assert raw == [0.0, pytest.approx(1 / 3), pytest.approx(2 / 3)]
     normed = collab_signal(m, 0, [2, 1, 3])

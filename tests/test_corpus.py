@@ -1,12 +1,16 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import sparse
+from hypothesis import example, given, settings, strategies as st
 
+import recattack
 from recattack.corpus import (
     COREL_KINDS,
     CoMatrix,
@@ -22,6 +26,8 @@ from recattack.corpus import (
     topk_neighbors,
 )
 from recattack.evalkit import plausibility_score
+
+from dense_csr import comatrix_from_dense, dense_counts
 
 
 def make_corpus(seqs):
@@ -147,16 +153,15 @@ def test_split_roundtrip_random():
 
 def test_comatrix_window1():
     c = make_corpus([[0, 1, 2]])  # A B C
-    m = build_comatrix(c, window=1)
-    assert m.pair_counts[0, 1] == 1
-    assert m.pair_counts[1, 2] == 1
-    assert m.pair_counts[0, 2] == 0
+    pair = dense_counts(build_comatrix(c, window=1))
+    assert pair[0, 1] == 1
+    assert pair[1, 2] == 1
+    assert pair[0, 2] == 0
 
 
 def test_comatrix_window2_reaches_ac():
     c = make_corpus([[0, 1, 2]])
-    m = build_comatrix(c, window=2)
-    assert m.pair_counts[0, 2] == 1
+    assert dense_counts(build_comatrix(c, window=2))[0, 2] == 1
 
 
 def test_comatrix_symmetric_empty_diagonal():
@@ -166,30 +171,30 @@ def test_comatrix_symmetric_empty_diagonal():
     remap = {v: i for i, v in enumerate(items)}
     seqs = [[remap[i] for i in s] for s in seqs]
     c = make_corpus(seqs)
-    m = build_comatrix(c, window=3)
-    dense = m.pair_counts.toarray()
+    dense = dense_counts(build_comatrix(c, window=3))
     assert (dense == dense.T).all()
     assert (np.diag(dense) == 0).all()
 
 
-def test_comatrix_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for trial in range(10):
-        nseq = int(rng.integers(1, 11))
-        seqs = []
-        for _ in range(nseq):
-            ln = int(rng.integers(3, 9))
-            seqs.append([int(i) for i in rng.integers(0, 7, size=ln)])
-        items = sorted({i for s in seqs for i in s})
-        remap = {v: i for i, v in enumerate(items)}
-        seqs = [[remap[i] for i in s] for s in seqs]
-        c = make_corpus(seqs)
-        w = int(rng.integers(1, 5))
-        m = build_comatrix(c, window=w)
-        pair, item, total = brute_force_comatrix(seqs, c.num_items, w)
-        assert (m.pair_counts.toarray() == pair).all()
-        assert (m.item_counts == item).all()
-        assert m.total_positions == total
+@settings(max_examples=200, deadline=None)
+@given(
+    seqs=st.lists(st.lists(st.integers(0, 5), max_size=9), max_size=6),
+    window=st.integers(1, 12),
+)
+@example(seqs=[[0, 0, 1, 1, 0]], window=1)  # immediate self-repeats
+@example(seqs=[[2, 1, 2], [0, 1]], window=10)  # window beyond every sequence
+def test_comatrix_matches_brute_force(seqs, window):
+    v = 6  # items that never occur have zero counts
+    c = InteractionCorpus(
+        users=tuple(str(i) for i in range(len(seqs))),
+        sequences=tuple(tuple(s) for s in seqs),
+        num_items=v,
+    )
+    m = build_comatrix(c, window=window)
+    pair, item, total = brute_force_comatrix(seqs, v, window)
+    assert (dense_counts(m) == pair).all()
+    assert (m.item_counts == item).all()
+    assert m.total_positions == total
 
 
 # ------------------------------------------------------------------- corel
@@ -200,7 +205,7 @@ def test_corel_jaccard_toy_counts():
     c = make_corpus([[0, 1, 2], [1, 2, 0]])
     m = build_comatrix(c, window=1)
     assert m.item_counts[0] == 2 and m.item_counts[1] == 2
-    assert m.pair_counts[0, 1] == 1
+    assert dense_counts(m)[0, 1] == 1
     assert corel(m, 0, 1, "jaccard") == pytest.approx(1 / 3)
 
 
@@ -222,7 +227,7 @@ def test_corel_ppmi_formula():
     c = make_corpus([[0, 1, 2], [1, 2, 0]])
     m = build_comatrix(c, window=1)
     # independent computation from the raw counts
-    expected = max(0.0, np.log(m.pair_counts[0, 1] * m.total_positions
+    expected = max(0.0, np.log(dense_counts(m)[0, 1] * m.total_positions
                                / (m.item_counts[0] * m.item_counts[1])))
     assert corel(m, 0, 1, "ppmi") == pytest.approx(expected)
 
@@ -316,59 +321,66 @@ def test_corel_row_equals_scalar_bit_for_bit(seqs, window):
         assert rows == scalar
 
 
-def reference_corel(m, i, j, kind):
-    """The relatedness formula on scipy's own element lookup."""
+def reference_corel(pair, item, total, i, j, kind):
+    """The relatedness formula on dense counts."""
     if i == j:
         return 1.0
-    cij = float(m.pair_counts[i, j])
-    ci = float(m.item_counts[i])
-    cj = float(m.item_counts[j])
+    cij = float(pair[i, j])
+    ci = float(item[i])
+    cj = float(item[j])
     if kind == "jaccard":
         denom = max(ci + cj - cij, cij)
         return cij / denom if denom > 0 else 0.0
     if cij <= 0 or ci <= 0 or cj <= 0:
         return 0.0
-    return max(0.0, math.log(cij * m.total_positions / (ci * cj)))
-
-
-@st.composite
-def raw_comatrices(draw):
-    """CoMatrix over a CSR built from raw arrays: column ids in drawn order
-    within each row, repeated ids, explicit zeros."""
-    v = draw(st.integers(1, 7))
-    entries = draw(st.lists(
-        st.tuples(st.integers(0, v - 1), st.integers(0, v - 1), st.integers(0, 6)),
-        max_size=30,
-    ))
-    entries.sort(key=lambda e: e[0])  # stable: keeps the drawn column order
-    indptr = np.searchsorted([r for r, _, _ in entries], np.arange(v + 1))
-    pair = sparse.csr_matrix(
-        (
-            np.array([n for _, _, n in entries], dtype=np.int64),
-            np.array([c for _, c, _ in entries], dtype=np.int32),
-            indptr,
-        ),
-        shape=(v, v),
-    )
-    counts = np.array(draw(st.lists(st.integers(0, 12), min_size=v, max_size=v)), dtype=np.int64)
-    return CoMatrix(pair, counts, draw(st.integers(1, 60)), 1)
+    return max(0.0, math.log(cij * total / (ci * cj)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(m=raw_comatrices())
-def test_corel_equals_scipy_lookup_bit_for_bit(m):
-    pc = m.pair_counts
-    arrays = (pc.indptr, pc.indices, pc.data)
-    before = [a.copy() for a in arrays]
-    v = m.num_items
-    got = {(i, j, kind): corel(m, i, j, kind)
-           for kind in COREL_KINDS for i in range(v) for j in range(v)}
-    # the caller's matrix keeps its arrays and their contents
-    assert m.pair_counts is pc
-    assert all(a is b for a, b in zip((pc.indptr, pc.indices, pc.data), arrays))
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
-    for (i, j, kind), value in got.items():
-        assert value == reference_corel(m, i, j, kind), (i, j, kind)
+@given(data=st.data(), v=st.integers(1, 7), total=st.integers(1, 60))
+def test_corel_on_dense_counts_equals_reference_bit_for_bit(data, v, total):
+    # most pairs never co-occur, so rows hold gaps and empty rows
+    cells = st.integers(0, 6).map(lambda n: max(n - 3, 0))
+    pair = np.array(data.draw(st.lists(cells, min_size=v * v, max_size=v * v)),
+                    dtype=np.int64).reshape(v, v)
+    item = np.array(data.draw(st.lists(st.integers(0, 12), min_size=v, max_size=v)))
+    m = comatrix_from_dense(pair, item, total, 1)
+    for kind in COREL_KINDS:
+        for i in range(v):
+            for j in range(v):
+                assert corel(m, i, j, kind) == reference_corel(pair, item, total, i, j, kind)
+
+
+def test_comatrix_rejects_a_layout_that_is_not_canonical():
+    # rows 0 and 2 of 4 items: 0 -> {1, 3}, 2 -> {0}
+    ptr, cols, n = [0, 2, 2, 3, 3], [1, 3, 0], [4, 5, 6]
+    bad = [
+        (ptr, [3, 1, 0], n),  # columns unsorted within a row
+        (ptr, [1, 1, 0], n),  # a repeated column
+        (ptr, [1, 3, -1], n),  # a column below 0
+        (ptr, [1, 4, 0], n),  # a column at V
+        (ptr, [1, 9, 0], n),  # a column above V
+        ([1, 2, 2, 3, 3], cols, n),  # pointers that do not start at 0
+        ([0, 2, 2, 2, 2], cols, n),  # pointers that stop short of the pairs
+        ([0, 2, 2, 3], cols, n),  # too few row pointers
+        (ptr, cols, [4, 5]),  # too few counts
+        (ptr, [1, 3], n),  # too few columns
+    ]
+    item = np.ones(4, dtype=np.int64)
+    m = CoMatrix(*map(np.array, (ptr, cols, n)), item, 10, 1)
+    assert dense_counts(m).tolist() == [[0, 4, 0, 5], [0, 0, 0, 0], [6, 0, 0, 0], [0, 0, 0, 0]]
+    for arrays in bad:
+        with pytest.raises(ValueError, match="not in canonical CSR form"):
+            CoMatrix(*map(np.array, arrays), item, 10, 1)
+
+
+def test_import_loads_no_package_but_numpy():
+    src = str(Path(recattack.__file__).parents[1])
+    code = ("import sys; before = set(sys.modules); import recattack; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout.split()
+    assert set(out) - sys.stdlib_module_names == {"numpy", "recattack"}
 
 
 def test_corel_rejects_ids_outside_catalog():

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from recattack.corpus import CoMatrix, InteractionCorpus, build_comatrix
+from recattack.corpus import InteractionCorpus, build_comatrix
 from recattack.evalkit import (
     agreement_at_k,
     ndcg_at_k,
     plausibility_score,
     recall_at_k,
 )
+
+from dense_csr import comatrix_from_dense
 
 
 def brute_recall(ranked, truth, k):
@@ -95,5 +96,5 @@ def test_plausibility_frozen_mean():
     pair = np.zeros((3, 3), dtype=np.int64)
     item = np.array([2, 2, 2], dtype=np.int64)
     pair[0, 1] = pair[1, 0] = 1
-    m = CoMatrix(sparse.csr_matrix(pair), item, 6, 1)
+    m = comatrix_from_dense(pair, item, 6, 1)
     assert plausibility_score([0, 1, 2], m) == pytest.approx(1 / 6)

@@ -233,6 +233,7 @@ def test_synthetic_corpus_bytes_are_pinned(tmp_path, spec, digest):
     assert hashlib.sha256((tmp_path / "corpus.txt").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.filterwarnings("error")  # an overflowing power may not warn either
 @pytest.mark.parametrize("key, value", [("locality", "0.001"), ("popularity_skew", "2000")])
 def test_underflowing_draw_weights_are_a_config_error(tmp_path, key, value):
     # every within-group weight underflows to 0: no table may hold NaNs
@@ -326,12 +327,18 @@ def test_build_config_applies_and_validates():
             build_config({key: value})
 
 
-def test_unknown_stage_is_rejected_by_the_config_itself():
+def test_unknown_stage_is_rejected_by_the_config_itself(tmp_path):
     with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
         build_config({"stages": "corpus,bogus"})
     with pytest.raises(ValueError, match="unknown stage 'bogus'"):
         dataclasses.replace(ExperimentConfig(), stages=("bogus",))
     assert build_config({"stages": "all"}).stages == STAGES
+    # a stage name assigned after construction is caught before any stage runs
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "run"))
+    cfg.stages = ("corpus", "bogus")
+    with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
+        run_pipeline(cfg)
+    assert not (tmp_path / "run").exists()
 
 
 def test_readme_config_example_loads():
