@@ -121,7 +121,8 @@ class ExperimentConfig:
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def __post_init__(self):
-        self.check_stages()
+        if unknown := [name for name in self.stages if name not in STAGES]:
+            raise ConfigError(f"unknown stage {unknown[0]!r}; valid: {', '.join(STAGES)}")
         if self.corpus_format not in CORPUS_FORMATS:
             raise ValueError(f"unknown corpus format {self.corpus_format!r}")
         if self.comatrix_window < 1:
@@ -134,10 +135,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"attack.eval_k ({self.attack.eval_k}) must be <= oracle.k ({self.oracle.k})"
             )
-
-    def check_stages(self) -> None:
-        if unknown := [name for name in self.stages if name not in STAGES]:
-            raise ConfigError(f"unknown stage {unknown[0]!r}; valid: {', '.join(STAGES)}")
 
     def resolved_budget(self) -> int:
         if self.oracle.budget is not None:

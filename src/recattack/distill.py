@@ -19,7 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import QuerySet
-from .recmodel import PrefixPool, RecommenderParams, TrainConfig, _fit, softmax
+from .recmodel import (
+    PrefixPool,
+    RecommenderParams,
+    TrainConfig,
+    Workspace,
+    _fit,
+    _scores,
+    _table_grads,
+    softmax,
+)
 
 
 @dataclass
@@ -187,33 +196,38 @@ def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray
         raise ValueError("vocabulary leaves no negatives outside the top-k list")
     mask = np.ones((b, v), dtype=bool)
     np.put_along_axis(mask, ranked_idx, False, axis=1)
-    allowed = np.nonzero(mask)[1].reshape(b, v - k)
     draws = rng.integers(0, v - k, size=(b, m * k))
-    return np.take_along_axis(allowed, draws, axis=1).reshape(b, m, k)
+    # row r's v - k allowed cells are entries r*(v-k) .. (r+1)*(v-k) - 1 of
+    # the flat list of allowed cells, in ascending order
+    rows = np.arange(b)[:, None]
+    allowed = np.flatnonzero(mask)[draws + rows * (v - k)] - rows * v
+    return allowed.reshape(b, m, k)
 
 
-def _distill_step(cfg, params: RecommenderParams, pool: np.ndarray, r_idx, n_idx, p_b):
+def _distill_step(
+    cfg, params: RecommenderParams, pool: np.ndarray, r_idx, n_idx, p_b, ws: Workspace
+):
     """Mean distillation loss of one pooled batch and its (d_emb, d_bias).
 
     `pool` is the batch's PrefixPool.matrix, r_idx (B, k) the ranked items
     and n_idx (B, m, k) the sampled negatives. The score gradients of both
-    are summed into one dense (B, V) matrix G, so d_bias = G.sum(0), and
-    d_emb = G.T @ hidden (the scored items) + pool.T @ (G @ E) (the prefixes).
+    are summed into one dense (B, V) matrix G, written over the scores in
+    ws, so d_bias = G.sum(0), and d_emb = G.T @ hidden (the scored items) +
+    pool.T @ (G @ E) (the prefixes). np.add.at sums each cell's gradients in
+    the order np.bincount would.
     """
     b, v = pool.shape
-    hidden = pool @ params.emb
-    scores = hidden @ params.emb.T + params.bias
+    scores = _scores(params, pool, ws)
     s = np.take_along_axis(scores, r_idx, axis=1)
     s_neg = np.take_along_axis(scores, n_idx.reshape(b, -1), axis=1).reshape(n_idx.shape)
     loss, gs, gn = _batch_losses_and_grads(cfg, s, s_neg, p_b)
 
     offset = np.arange(b)[:, None] * v
     cells = np.concatenate(((r_idx + offset).ravel(), (n_idx.reshape(b, -1) + offset).ravel()))
-    g = np.bincount(
-        cells, weights=np.concatenate((gs.ravel(), gn.ravel())), minlength=b * v
-    ).reshape(b, v)
-    d_emb = g.T @ hidden + pool.T @ (g @ params.emb)
-    return loss, d_emb, g.sum(axis=0)
+    g = scores
+    g.fill(0.0)
+    np.add.at(g.reshape(-1), cells, np.concatenate((gs.ravel(), gn.ravel())))
+    return (loss, *_table_grads(params, pool, g, ws))
 
 
 def distill_train(
@@ -243,9 +257,9 @@ def distill_train(
     if ranked is None or ranked.min() < 0 or ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
 
-    def batch_grads(params, rows, rng):
+    def batch_grads(params, rows, rng, ws):
         r_idx = ranked[rows]
         n_idx = _sample_negatives(rng, r_idx, v, cfg.negatives_per_position)
-        return _distill_step(cfg, params, pool.matrix(rows), r_idx, n_idx, p_b)
+        return _distill_step(cfg, params, pool.matrix(rows, ws.pool), r_idx, n_idx, p_b, ws)
 
     return _fit(init, len(queries), cfg.train, batch_grads)

@@ -419,7 +419,9 @@ def run_pipeline(
     The report is built from every stage record in cfg.out_dir, whichever
     invocation wrote it; the evaluate stage writes it out.
     """
-    cfg.check_stages()  # the config is mutable: no stage runs on a bad name
+    # the config is mutable: every section's check runs again on the values
+    # it holds now, so no stage runs on a field assigned a bad value
+    _rebuild(cfg, (), {})
     if ctx is None:
         ctx = _Context(cfg)
     elif ctx.cfg is not cfg:

@@ -223,8 +223,14 @@ class PrefixPool:
         """Pool over a list of separate prefixes, laid out back to back."""
         return cls(*_ragged(prefixes), num_items, gamma)
 
-    def matrix(self, rows) -> np.ndarray:
-        """Dense (len(rows), V) pooling matrix of the selected prefixes."""
+    def matrix(self, rows, out: np.ndarray) -> np.ndarray:
+        """The (len(rows), V) pooling matrix of the selected prefixes, written
+        into the leading rows of `out` (a C-contiguous (B, V) float64 buffer,
+        B >= len(rows)) and returned as that slice.
+
+        np.add.at sums each cell's weights in prefix order onto zeros, the
+        order np.bincount would sum them in.
+        """
         lens = self.lengths[rows]
         b, v = lens.size, self.num_items
         ends = np.cumsum(lens)
@@ -232,41 +238,94 @@ class PrefixPool:
         back = np.repeat(ends - 1, lens) - np.arange(ends[-1])  # steps before the last
         pos = np.repeat(self.starts[rows] + lens - 1, lens) - back
         weights = self._decay[back] / self._norms[lens][row]
-        flat = np.bincount(row * v + self.items[pos], weights=weights, minlength=b * v)
-        return flat.reshape(b, v)
+        out = out[:b]
+        out.fill(0.0)
+        np.add.at(out.reshape(-1), row * v + self.items[pos], weights)
+        return out
 
 
-def softmax(logits: np.ndarray):
+def softmax(logits: np.ndarray, targets=None):
     """Softmax over the last axis and its log, (probs, log_probs), both
-    shifted by the row maximum so no exponent overflows."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
+    shifted by the row maximum so no exponent overflows. The call makes two
+    (..., V) arrays.
+
+    With `targets`, one column per row of 2-D logits, the work runs in
+    logits itself, which ends holding probs, and log_probs holds only row
+    r's log-probability at targets[r]: the values the full log pass gives
+    at those cells, with no (B, V) array made.
+    """
+    if targets is None:
+        log_probs = logits - logits.max(axis=-1, keepdims=True)
+        probs = np.exp(log_probs)
+    else:
+        shifted = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+        log_probs = shifted[np.arange(shifted.shape[0]), targets]
+        probs = np.exp(shifted, out=shifted)
     total = probs.sum(axis=-1, keepdims=True)
-    probs /= total  # in place: two (..., V) arrays per call, not four
-    shifted -= np.log(total)
-    return probs, shifted
+    probs /= total
+    log_probs -= np.log(total if targets is None else total[:, 0])
+    return probs, log_probs
 
 
-def _ce_batch(params: RecommenderParams, pool: np.ndarray, targets):
+class Workspace:
+    """Scratch arrays of one fit, shaped for its batch size B: a batch of b
+    rows uses the leading b rows of each (B, ...) array. The batch kernels
+    (PrefixPool.matrix, _ce_batch, distill._distill_step) and adam_step
+    write every (B, V) and (V, d) intermediate here, so a fit allocates none
+    per batch; d_emb and d_bias, the batch gradients a kernel returns, are
+    overwritten by the next batch.
+    """
+
+    def __init__(self, batch: int, num_items: int, dim: int):
+        self.pool = np.empty((batch, num_items))  # PrefixPool.matrix
+        self.scores = np.empty((batch, num_items))  # scores, then their gradient G
+        self.hidden = np.empty((batch, dim))
+        self.d_hidden = np.empty((batch, dim))
+        self.d_emb = np.empty((num_items, dim))
+        self.d_bias = np.empty(num_items)
+        # adam_step's two temporaries for each parameter; emb_tmp[0] first
+        # holds the prefixes' share of d_emb, pool.T @ d_hidden
+        self.emb_tmp = np.empty((2, num_items, dim))
+        self.bias_tmp = np.empty((2, num_items))
+
+
+def _scores(params: RecommenderParams, pool: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Scores (b, V) of a pooled batch, pool @ E @ E.T + b, in ws.scores; the
+    hidden states pool @ E go to ws.hidden."""
+    b = pool.shape[0]
+    hidden = np.matmul(pool, params.emb, out=ws.hidden[:b])
+    scores = np.matmul(hidden, params.emb.T, out=ws.scores[:b])
+    scores += params.bias
+    return scores
+
+
+def _table_grads(params: RecommenderParams, pool: np.ndarray, g: np.ndarray, ws: Workspace):
+    """(d_emb, d_bias) from a batch's score gradient g (b, V): d_bias = g.sum(0)
+    and d_emb = g.T @ hidden (the scored items) + pool.T @ (g @ E) (the
+    prefixes), with hidden = pool @ E already in ws.hidden. Also leaves
+    g @ E, the gradient w.r.t. the hidden states, in ws.d_hidden."""
+    b = g.shape[0]
+    d_hidden = np.matmul(g, params.emb, out=ws.d_hidden[:b])
+    d_emb = np.matmul(g.T, ws.hidden[:b], out=ws.d_emb)
+    d_emb += np.matmul(pool.T, d_hidden, out=ws.emb_tmp[0])
+    return d_emb, np.sum(g, axis=0, out=ws.d_bias)
+
+
+def _ce_batch(params: RecommenderParams, pool: np.ndarray, targets, ws: Workspace):
     """Mean CE loss over a pooled batch plus gradients (dE, db, dH).
 
     `pool` is a PrefixPool.matrix. dH is the per-row gradient of the mean
-    loss w.r.t. the pooled hidden state.
+    loss w.r.t. the pooled hidden state. Every array comes from ws.
     """
     n = pool.shape[0]
-    hidden = pool @ params.emb
-    scores = hidden @ params.emb.T + params.bias
-    probs, log_probs = softmax(scores)
-    rows = np.arange(n)
-    loss = float(np.mean(-log_probs[rows, targets]))
+    probs, log_probs = softmax(_scores(params, pool, ws), targets)
+    loss = float(np.mean(-log_probs))
 
     gs = probs
-    gs[rows, targets] -= 1.0
+    gs[np.arange(n), targets] -= 1.0
     gs /= n
-    d_bias = gs.sum(axis=0)
-    d_hidden = gs @ params.emb
-    d_emb = gs.T @ hidden + pool.T @ d_hidden
-    return loss, d_emb, d_bias, d_hidden
+    d_emb, d_bias = _table_grads(params, pool, gs, ws)
+    return loss, d_emb, d_bias, ws.d_hidden[:n]
 
 
 def ce_loss_and_grads(params: RecommenderParams, x, target: int):
@@ -281,8 +340,9 @@ def ce_loss_and_grads(params: RecommenderParams, x, target: int):
         raise ValueError("target out of range")
     x = list(x)
     pool = PrefixPool.of([x], params.num_items, params.gamma)
+    ws = Workspace(1, params.num_items, params.dim)
     loss, d_emb, d_bias, d_hidden = _ce_batch(
-        params, pool.matrix([0]), np.asarray([target], dtype=np.int64)
+        params, pool.matrix([0], ws.pool), np.asarray([target], dtype=np.int64), ws
     )
     gpos = position_weights(params.gamma, len(x))[-1] * d_hidden[0]
     return loss, d_emb, d_bias, gpos
@@ -299,29 +359,38 @@ def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
     return position_weights(params.gamma, rows.shape[0])[-1] * (probs @ params.emb)
 
 
-def adam_step(value, grad, m, v, step, cfg: TrainConfig) -> None:
-    """One Adam update with decoupled weight decay, in place."""
+def adam_step(value, grad, m, v, step, cfg: TrainConfig, tmp) -> None:
+    """One Adam update with decoupled weight decay, in place. tmp holds two
+    scratch arrays shaped like value; the operations and their order are
+    those of the written-out expression
+    value -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * value)."""
+    t1, t2 = tmp
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += np.multiply(1.0 - cfg.beta1, grad, out=t1)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    mhat = m / (1.0 - cfg.beta1 ** step)
-    vhat = v / (1.0 - cfg.beta2 ** step)
-    value -= cfg.learning_rate * (
-        mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * value
-    )
+    np.multiply(1.0 - cfg.beta2, grad, out=t1)
+    v += np.multiply(t1, grad, out=t1)
+    mhat = np.divide(m, 1.0 - cfg.beta1 ** step, out=t1)
+    denom = np.divide(v, 1.0 - cfg.beta2 ** step, out=t2)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    mhat /= denom
+    mhat += np.multiply(cfg.weight_decay, value, out=t2)
+    value -= np.multiply(cfg.learning_rate, mhat, out=t1)
 
 
 def _fit(params: RecommenderParams, n: int, cfg: TrainConfig, batch_grads) -> RecommenderParams:
     """Mini-batch Adam over examples 0..n-1; returns a trained, frozen copy of params.
 
     Each epoch walks a fresh permutation from default_rng(cfg.seed) in
-    batches of cfg.batch_size rows; batch_grads(params, rows, rng) returns
-    (mean loss, d_emb, d_bias) of those rows and may draw from rng after the
-    permutation. Raises TrainingDiverged on a non-finite batch loss.
+    batches of cfg.batch_size rows; batch_grads(params, rows, rng, ws)
+    returns (mean loss, d_emb, d_bias) of those rows, may draw from rng after
+    the permutation, and writes its intermediates into ws, the fit's one
+    Workspace. Raises TrainingDiverged on a non-finite batch loss.
     """
     out = params.copy()
     rng = np.random.default_rng(cfg.seed)
+    ws = Workspace(min(cfg.batch_size, n), out.num_items, out.dim)
     m_emb, v_emb = np.zeros_like(out.emb), np.zeros_like(out.emb)
     m_bias, v_bias = np.zeros_like(out.bias), np.zeros_like(out.bias)
     step = 0
@@ -330,12 +399,12 @@ def _fit(params: RecommenderParams, n: int, cfg: TrainConfig, batch_grads) -> Re
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            loss, d_emb, d_bias = batch_grads(out, rows, rng)
+            loss, d_emb, d_bias = batch_grads(out, rows, rng, ws)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step}: {loss}")
             step += 1
-            adam_step(out.emb, d_emb, m_emb, v_emb, step, cfg)
-            adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg)
+            adam_step(out.emb, d_emb, m_emb, v_emb, step, cfg, ws.emb_tmp)
+            adam_step(out.bias, d_bias, m_bias, v_bias, step, cfg, ws.bias_tmp)
             epoch_loss += loss * len(rows)
         log.debug("epoch %d mean loss %.4f", epoch, epoch_loss / n)
     return out.freeze()
@@ -360,7 +429,7 @@ def train(params: RecommenderParams, data: SplitDataset, cfg: TrainConfig) -> Re
     targets = items[starts + lengths]
     return _fit(
         params, lengths.size, cfg,
-        lambda p, rows, rng: _ce_batch(p, pool.matrix(rows), targets[rows])[:3],
+        lambda p, rows, rng, ws: _ce_batch(p, pool.matrix(rows, ws.pool), targets[rows], ws)[:3],
     )
 
 

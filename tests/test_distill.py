@@ -24,6 +24,7 @@ from recattack.recmodel import (
     RecommenderParams,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     forward_scores,
     init_params,
 )
@@ -449,7 +450,8 @@ def test_distill_step_grads_match_finite_differences():
     n_idx = _sample_negatives(rng, r_idx, v, 2)
     cfg = DistillConfig(lam=0.4, tau_w=0.9, delta1=0.3, delta2=0.6)
     p_b = cognitive_distribution(k, 0.9, 0.5)
-    pooled = PrefixPool.of(prefixes, v, p.gamma).matrix(np.arange(len(prefixes)))
+    ws = Workspace(len(prefixes), v, d)
+    pooled = PrefixPool.of(prefixes, v, p.gamma).matrix(np.arange(len(prefixes)), ws.pool)
 
     def mean_loss(q):
         # independent of the batch path: per-prefix forward pass and the reference
@@ -459,7 +461,7 @@ def test_distill_step_grads_match_finite_differences():
             total += reference_objective(cfg, [s[r]], [s[n]], p_b)[0]
         return total / len(prefixes)
 
-    loss, d_emb, d_bias = _distill_step(cfg, p, pooled, r_idx, n_idx, p_b)
+    loss, d_emb, d_bias = _distill_step(cfg, p, pooled, r_idx, n_idx, p_b, ws)
     assert loss == pytest.approx(mean_loss(p), rel=1e-12)
     for i in range(v):
         for c in range(d):

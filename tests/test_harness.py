@@ -333,12 +333,18 @@ def test_unknown_stage_is_rejected_by_the_config_itself(tmp_path):
     with pytest.raises(ValueError, match="unknown stage 'bogus'"):
         dataclasses.replace(ExperimentConfig(), stages=("bogus",))
     assert build_config({"stages": "all"}).stages == STAGES
-    # a stage name assigned after construction is caught before any stage runs
-    cfg = ExperimentConfig(out_dir=str(tmp_path / "run"))
-    cfg.stages = ("corpus", "bogus")
-    with pytest.raises(ConfigError, match="unknown stage 'bogus'"):
-        run_pipeline(cfg)
-    assert not (tmp_path / "run").exists()
+    # a field assigned after construction is checked again, with every
+    # section's own check, before any stage runs or writes anything
+    for name, (section, key, value), message in [
+        ("stage", (None, "stages", ("corpus", "bogus")), r"^unknown stage 'bogus'"),
+        ("window", (None, "comatrix_window", 0), r"^comatrix\.window must be >= 1"),
+        ("alpha", ("distill", "alpha", 1.0), r"^distill: alpha must be in"),
+    ]:
+        cfg = tiny_config(tmp_path / name)
+        setattr(getattr(cfg, section) if section else cfg, key, value)
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(cfg)
+        assert not (tmp_path / name).exists()
 
 
 def test_readme_config_example_loads():

@@ -10,6 +10,7 @@ from recattack.recmodel import (
     RecommenderParams,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     _ce_batch,
     appended_scores,
     ce_last_row_grad,
@@ -222,12 +223,13 @@ def test_ce_batch_grads_match_finite_differences_on_ragged_batch():
     # ragged lengths, and item 4 repeats within the second prefix
     prefixes = [[3], [4, 7, 4, 1], [0, 11], [5, 6, 2, 9, 8]]
     targets = np.array([4, 2, 11, 3])
-    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(np.arange(len(prefixes)))
+    ws = Workspace(len(prefixes), p.num_items, p.dim)
+    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(np.arange(len(prefixes)), ws.pool)
 
     def mean_loss(q):
         return np.mean([ce_loss_value(q, x, t) for x, t in zip(prefixes, targets)])
 
-    loss, d_emb, d_bias, _ = _ce_batch(p, pooled, targets)
+    loss, d_emb, d_bias, _ = _ce_batch(p, pooled, targets, ws)
     assert loss == pytest.approx(mean_loss(p), rel=1e-12)
     for i in range(p.num_items):
         for c in range(p.dim):
@@ -252,7 +254,9 @@ def test_ce_batch_grads_match_finite_differences_on_ragged_batch():
 )
 def test_pooled_rows_equal_encoder(gamma, prefixes):
     p = rand_params(np.random.default_rng(0), v=10, d=4, gamma=gamma)
-    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(np.arange(len(prefixes)))
+    pooled = PrefixPool.of(prefixes, p.num_items, p.gamma).matrix(
+        np.arange(len(prefixes)), np.empty((len(prefixes), p.num_items))
+    )
     hidden = pooled @ p.emb
     for row, x in zip(hidden, prefixes):
         assert np.allclose(row, encode(p, embed(p, x)), rtol=0, atol=1e-12)
