@@ -40,7 +40,7 @@ target = int(np.lexsort((np.arange(corpus.num_items), freq))[3])
 print(f"target item {target} (appears {freq[target]} times; "
       f"median item appears {int(np.median(freq))})")
 
-oracle = ra.BlackBox(victim, k=50, budget=None, log_queries=False)
+oracle = ra.BlackBox(victim, k=50, budget=None)
 rng = np.random.default_rng(7)
 rows = []
 for u in rng.choice(len(corpus), size=8, replace=False):
@@ -48,7 +48,7 @@ for u in rng.choice(len(corpus), size=8, replace=False):
     total = max(len(x) + 1, math.ceil(1.1 * len(x)))
     pre = ra.validate(oracle, x, target, 10)
 
-    cfg = ra.AttackConfig(target=target, total_length=total)  # w_g = w_s = 0.5
+    cfg = ra.AttackConfig(target=target, total_length=total)  # w_g = 0.5
     z, post, refined, info = ra.attack_user(surrogate, comatrix, oracle, x, cfg, 10)
 
     rand_z = ra.baseline_rand_alter(x, target, total, corpus.num_items, seed=int(u))

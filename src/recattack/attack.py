@@ -29,8 +29,9 @@ COSINE_NORM_FLOOR = 1e-12
 
 @dataclass
 class AttackConfig:
-    """Pollution hyperparameters; w_g and w_s must form a simplex. This is the
-    one check of the pollution knobs: config.AttackStageConfig runs it too."""
+    """Pollution hyperparameters; w_g in [0, 1] weighs the gradient signal
+    and 1 - w_g the collaborative one. This is the one check of the pollution
+    knobs: config.AttackStageConfig runs it too."""
 
     target: int
     total_length: int
@@ -38,7 +39,6 @@ class AttackConfig:
     n_candidates: int = 5
     neighbor_k: int = 20
     w_g: float = 0.5
-    w_s: float = 0.5
     corel_kind: str = "jaccard"
     seed: int = 0
 
@@ -47,8 +47,8 @@ class AttackConfig:
             raise ValueError("epsilon must be >= 0")
         if self.n_candidates < 1 or self.neighbor_k < 1:
             raise ValueError("n_candidates and neighbor_k must be >= 1")
-        if self.w_g < 0 or self.w_s < 0 or abs(self.w_g + self.w_s - 1.0) > 1e-9:
-            raise ValueError("fusion weights must be >= 0 and sum to 1")
+        if not 0 <= self.w_g <= 1:
+            raise ValueError("fusion weight w_g must be in [0, 1]")
         if self.corel_kind not in COREL_KINDS:
             raise ValueError(f"unknown corel kind {self.corel_kind!r}")
 
@@ -160,9 +160,9 @@ def collab_signal(m: CoMatrix, target: int, pool, kind: str = "jaccard") -> dict
     return dict(zip(items, normed.tolist()))
 
 
-def fuse(sim_g, s_tilde, w_g: float, w_s: float):
-    """Linear fusion w_g * gradient alignment + w_s * collaborative score."""
-    return w_g * sim_g + w_s * s_tilde
+def fuse(sim_g, s_tilde, w_g: float):
+    """Convex fusion w_g * gradient alignment + (1 - w_g) * collaborative score."""
+    return w_g * sim_g + (1.0 - w_g) * s_tilde
 
 
 def _cohort(neighbors, sim_g: np.ndarray, target: int, k: int) -> np.ndarray:
@@ -184,7 +184,7 @@ def cohort_filter(
 
 @dataclass
 class _Step:
-    """One greedy step's work on a prefix before the fusion weights enter:
+    """One greedy step's work on a prefix before the fusion weight enters:
     the cosine row, the cohort, the cohort's normalized relatedness, and the
     target probability of every candidate tried in the slot so far."""
 
@@ -195,7 +195,7 @@ class _Step:
 
 
 class _Work:
-    """The part of pollute_detailed's work that the fusion weights do not
+    """The part of pollute_detailed's work that the fusion weight does not
     change, for one surrogate, relatedness matrix, profile and cfg's target,
     total_length, epsilon, neighbor_k and corel_kind: the start probability,
     the target's relatedness row and neighbors, and a _Step per prefix
@@ -250,14 +250,14 @@ def pollute_detailed(
     and the cosine table once per frozen surrogate; grad_alignment,
     cohort_filter and collab_signal are the same computations for a single
     step. attack_user passes `_work` so that its retry, which changes only
-    the fusion weights, reuses the first pass's steps.
+    the fusion weight, reuses the first pass's steps.
     """
     work = _Work(surrogate, m, x, cfg) if _work is None else _work
     t, z = work.t, list(work.x)
     info = PolluteInfo(fallback_steps=0, target_prob_start=work.start, target_prob_end=0.0)
     while len(z) < cfg.total_length:
         step = work.step(z)
-        top = topk_ids(fuse(step.sim_g[step.items], step.stil, cfg.w_g, cfg.w_s), cfg.n_candidates)
+        top = topk_ids(fuse(step.sim_g[step.items], step.stil, cfg.w_g), cfg.n_candidates)
         cand, stil = step.items[top], step.stil[top]
         probs = work.probabilities(z, step, cand)
         best = max(range(cand.size), key=lambda i: (probs[i], stil[i], -cand[i]))
@@ -279,6 +279,8 @@ def _check_target(target: int, num_items: int) -> None:
 def baseline_rand_alter(x, target: int, total_length: int, num_items: int, seed: int = 0) -> list[int]:
     """Append alternating (uniform random non-target item, target), truncated."""
     _check_target(target, num_items)
+    if num_items < 2:
+        raise ValueError("rand_alter needs a catalog of at least two items")
     z = [int(i) for i in x]
     if len(z) >= total_length:
         raise ValueError("input already at the requested total length")
@@ -371,7 +373,6 @@ def attack_user(
     result = validate(bb, z, cfg.target, k)
     if result.hit or not refine:
         return z, result, False, info
-    w_g = min(1.0, cfg.w_g + 0.2)
-    retry_cfg = replace(cfg, w_g=w_g, w_s=1.0 - w_g)
+    retry_cfg = replace(cfg, w_g=min(1.0, cfg.w_g + 0.2))
     z2, info2 = pollute_detailed(surrogate, m, x, retry_cfg, work)
     return z2, validate(bb, z2, cfg.target, k), True, info2

@@ -79,7 +79,6 @@ class AttackStageConfig:
     n_candidates: int = 5
     neighbor_k: int = 20
     w_g: float = 0.5
-    w_s: float = 0.5
     corel_kind: str = "jaccard"
     refine: bool = True
     seed: int = 0
@@ -286,12 +285,6 @@ def build_config(flat: dict[str, str]) -> ExperimentConfig:
     for key, (path, _) in SCHEMA.items():
         if len(path) > 1 and path[-1].endswith("seed") and path not in values:
             values[path] = derive_seed(seed, key)
-    # keep fusion weights on the simplex when only one was given
-    w_g, w_s = ("attack", "w_g"), ("attack", "w_s")
-    if w_g in values and w_s not in values:
-        values[w_s] = 1.0 - values[w_g]
-    if w_s in values and w_g not in values:
-        values[w_g] = 1.0 - values[w_s]
     return _rebuild(ExperimentConfig(), (), values)
 
 

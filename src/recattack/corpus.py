@@ -56,7 +56,6 @@ class InteractionCorpus:
 class SplitDataset:
     """Leave-one-out split: train prefix, (prefix, target) validation/test pairs."""
 
-    users: tuple[str, ...]
     train: tuple[tuple[int, ...], ...]
     valid: tuple[tuple[tuple[int, ...], int], ...]
     test: tuple[tuple[tuple[int, ...], int], ...]
@@ -219,7 +218,6 @@ def leave_one_out_split(corpus: InteractionCorpus) -> SplitDataset:
         valid.append((seq[: t - 2], seq[t - 2]))
         test.append((seq[: t - 1], seq[t - 1]))
     return SplitDataset(
-        users=corpus.users,
         train=tuple(train),
         valid=tuple(valid),
         test=tuple(test),

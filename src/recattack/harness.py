@@ -79,8 +79,8 @@ _SHARED_FILES = ("corpus.txt", "victim.params", "queries.tsv", "stage_corpus.jso
 # ablation arm name -> its dotted-key overrides
 LOSS_ARMS = {"kl_only": {"distill.lam": "0"}, "pair_only": {"distill.lam": "1"}, "combined": {}}
 SIGNAL_ARMS = {
-    "grad_only": {"attack.w_g": "1", "attack.w_s": "0"},
-    "collab_only": {"attack.w_g": "0", "attack.w_s": "1"},
+    "grad_only": {"attack.w_g": "1"},
+    "collab_only": {"attack.w_g": "0"},
     "dual": {},
 }
 
@@ -223,8 +223,6 @@ def _oracle(ctx: _Context, stage: str) -> BlackBox:
         ctx.victim,
         k=cfg.oracle.k,
         budget=cfg.resolved_budget(),
-        # generate_sequences keeps every pair it needs
-        log_queries=False,
         spent=_queries_spent(cfg, STAGES[: STAGES.index(stage)]),
     )
 

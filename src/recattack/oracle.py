@@ -1,8 +1,8 @@
 """Budgeted black-box front for a frozen recommender.
 
 Consumers see only ordered top-k item ids, never scores or parameters. Every
-query is counted against the budget; the (sequence, ranking) pairs can be
-logged and drained as the training set for extraction.
+query is counted against the budget; a black box built with log_queries=True
+also keeps the (sequence, ranking) pairs, which drain_log returns.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class QuerySet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 class _Labels(dict):
@@ -75,6 +72,12 @@ def load_queryset(path) -> QuerySet:
             raise ValueError(f"{path}: malformed query record on line {lineno}") from None
         if min(prefix, default=0) < 0 or min(ranked, default=0) < 0:
             raise ValueError(f"{path}: negative item id on line {lineno}")
+        if not ranked:
+            raise ValueError(f"{path}: empty ranking on line {lineno}")
+        if not pairs:
+            first = lineno
+        elif len(ranked) != len(pairs[0][1]):
+            raise ValueError(f"{path}: ranking length differs from line {first} on line {lineno}")
         pairs.append((prefix, ranked))
     return QuerySet(pairs=pairs, truncated=truncated)
 
@@ -87,7 +90,7 @@ class BlackBox:
         victim: RecommenderParams,
         k: int = 100,
         budget: int | None = None,
-        log_queries: bool = True,
+        log_queries: bool = False,
         spent: int = 0,
     ):
         if not (1 <= k <= victim.num_items):
@@ -117,10 +120,17 @@ class BlackBox:
     def remaining(self) -> int | None:
         return None if self.budget is None else self.budget - self._spent - self._used
 
+    def _check_budget(self, n: int) -> None:
+        """Raise BudgetExhausted, before anything is ranked or charged, when
+        n more queries would pass the budget."""
+        if self.budget is not None and n > self.remaining:
+            raise BudgetExhausted(
+                f"query budget of {self.budget} is spent: {self.remaining} left, {n} asked"
+            )
+
     def query(self, x) -> tuple[int, ...]:
         """Top-k ranking for sequence x; raises BudgetExhausted past the budget."""
-        if self.budget is not None and self.remaining <= 0:
-            raise BudgetExhausted(f"query budget of {self.budget} is spent")
+        self._check_budget(1)
         ranked = tuple(recommend_topk(self._victim, x, self.k))
         self._used += 1
         if self.log_queries:
@@ -135,11 +145,7 @@ class BlackBox:
         and nothing is charged.
         """
         n = len(prefixes)
-        if self.budget is not None and n > self.remaining:
-            raise BudgetExhausted(
-                f"query budget of {self.budget} has {self.remaining} left, "
-                f"{n} asked"
-            )
+        self._check_budget(n)
         top = recommend_topk_batch(self._victim, prefixes, self.k)
         ranked = list(map(tuple, top.tolist()))
         self._used += n
@@ -154,6 +160,3 @@ class BlackBox:
         if not self.log_queries:
             raise ConfigError("query logging is disabled on this black box")
         return QuerySet(pairs=list(self._log))
-
-    def export_log(self, path) -> None:
-        save_queryset(self.drain_log(), path)

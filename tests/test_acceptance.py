@@ -293,7 +293,7 @@ def workbench():
                 post += res.hit
                 zg = ra.pollute(
                     surr, wb.comatrix, x,
-                    ra.AttackConfig(target=t, total_length=total, w_g=1.0, w_s=0.0),
+                    ra.AttackConfig(target=t, total_length=total, w_g=1.0),
                 )
                 rz = ra.baseline_rand_alter(x, t, total, 200, seed=pair_seed)
                 rand += ra.validate(vbb, rz, t, 10).hit

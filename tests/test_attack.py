@@ -133,18 +133,18 @@ def test_collab_signal_reference_scaling():
 
 
 def test_fuse_boundaries_and_arithmetic():
-    assert fuse(0.5, 1.0, 1.0, 0.0) == 0.5
-    assert fuse(0.5, 1.0, 0.0, 1.0) == 1.0
-    assert fuse(0.5, 1.0, 0.6, 0.4) == pytest.approx(0.7)
+    assert fuse(0.5, 1.0, 1.0) == 0.5
+    assert fuse(0.5, 1.0, 0.0) == 1.0
+    assert fuse(0.5, 1.0, 0.6) == pytest.approx(0.7)
 
 
 def test_fuse_scaling_preserves_argmax():
     rng = np.random.default_rng(3)
     sim = rng.uniform(-1, 1, size=10)
     stil = rng.uniform(0, 1, size=10)
-    base = fuse(sim, stil, 0.5, 0.5)
+    base = fuse(sim, stil, 0.5)
     for c in (0.1, 2.0, 7.5):
-        scaled = fuse(c * sim, c * stil, 0.5, 0.5)
+        scaled = fuse(c * sim, c * stil, 0.5)
         assert np.allclose(scaled, c * base)
         assert scaled.argmax() == base.argmax()
 
@@ -290,8 +290,8 @@ def test_pollute_gradient_only_ignores_empty_comatrix_weighting():
     p = rand_params(rng, v=12)
     m = empty_comatrix(12)
     x = [3, 4]
-    a = pollute(p, m, x, AttackConfig(target=5, total_length=6, w_g=1.0, w_s=0.0))
-    b = pollute(p, m, x, AttackConfig(target=5, total_length=6, w_g=0.5, w_s=0.5))
+    a = pollute(p, m, x, AttackConfig(target=5, total_length=6, w_g=1.0))
+    b = pollute(p, m, x, AttackConfig(target=5, total_length=6, w_g=0.5))
     assert a == b
 
 
@@ -331,6 +331,12 @@ def test_rand_alter_truncation_and_determinism():
     assert len(z) == 2 and z[1] != 0
     again = baseline_rand_alter([1], target=0, total_length=2, num_items=5, seed=4)
     assert z == again
+
+
+def test_rand_alter_rejects_a_one_item_catalog():
+    # the only item is the target, so no non-target item can be drawn
+    with pytest.raises(ValueError, match="at least two items"):
+        baseline_rand_alter([0, 0], target=0, total_length=4, num_items=1)
 
 
 def test_sim_alter_first_insert_is_nearest_neighbor():
@@ -391,8 +397,11 @@ def test_validate_rejects_k_beyond_the_response_before_querying():
 
 
 def test_attack_config_validates_simplex():
-    with pytest.raises(ValueError):
-        AttackConfig(target=0, total_length=5, w_g=0.7, w_s=0.7)
+    for w_g in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match=r"w_g must be in \[0, 1\]"):
+            AttackConfig(target=0, total_length=5, w_g=w_g)
+    for w_g in (0.0, 1.0):
+        AttackConfig(target=0, total_length=5, w_g=w_g)
     with pytest.raises(ValueError, match="unknown corel kind 'bogus'"):
         AttackConfig(target=0, total_length=5, corel_kind="bogus")
 
@@ -449,7 +458,7 @@ def test_frozen_surrogate_attacks_like_a_writable_copy(seed, v, length, extra, z
     cfg = AttackConfig(
         target=t, total_length=length + extra, epsilon=float(rng.uniform(0, 0.3)),
         n_candidates=int(rng.integers(1, 4)), neighbor_k=int(rng.integers(1, 6)),
-        w_g=w_g, w_s=1.0 - w_g, corel_kind=str(rng.choice(["jaccard", "ppmi"])),
+        w_g=w_g, corel_kind=str(rng.choice(["jaccard", "ppmi"])),
     )
     # a victim ranking only its top 1 or 2 makes most pairs miss and retry
     victim = rand_params(rng, v=v, d=3)
@@ -469,8 +478,7 @@ def test_frozen_surrogate_attacks_like_a_writable_copy(seed, v, length, extra, z
         assert outcomes[0] == outcomes[1]
         z, _, refined, info = outcomes[0]
         if refined:
-            retry_w_g = min(1.0, w_g + 0.2)
-            retry = replace(cfg, w_g=retry_w_g, w_s=1.0 - retry_w_g)
+            retry = replace(cfg, w_g=min(1.0, w_g + 0.2))
             assert (z, info) == pollute_detailed(writable, m, x, retry)
 
 
@@ -484,13 +492,13 @@ def test_attack_user_retry_equals_a_fresh_pass_at_the_retry_weights():
         m = toy_comatrix(rng, 40, nseq=30, length=8)
         x = [int(i) for i in rng.integers(0, 40, size=4)]
         cfg = AttackConfig(target=int(rng.integers(0, 40)), total_length=10, n_candidates=3,
-                           neighbor_k=5, w_g=0.0, w_s=1.0)
+                           neighbor_k=5, w_g=0.0)
         bb = BlackBox(rand_params(rng, v=40, d=3), k=1)
         z, _, refined, info = attack_user(surrogate, m, bb, x, cfg, 1)
         if not refined:
             continue
         first = pollute(surrogate, m, x, cfg)
-        assert (z, info) == pollute_detailed(surrogate, m, x, replace(cfg, w_g=0.2, w_s=0.8))
+        assert (z, info) == pollute_detailed(surrogate, m, x, replace(cfg, w_g=0.2))
         split = next((i for i, (a, b) in enumerate(zip(first, z)) if a != b), len(z))
         diverged_early += split < len(z) - 1  # steps after the split read new prefixes
     assert diverged_early >= 10

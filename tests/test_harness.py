@@ -352,7 +352,7 @@ def test_readme_config_example_loads():
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     cfg = build_config(parse_config_text(block))
     assert cfg.oracle.budget == 20500
-    assert (cfg.attack.w_g, cfg.attack.w_s) == (0.5, 0.5)
+    assert cfg.attack.w_g == 0.5
     assert cfg.eval_ks == (1, 5, 10)
 
 
@@ -367,7 +367,7 @@ def _as_text(value) -> str:
 def test_schema_round_trips_every_default():
     # setting any key to its default text (derived seeds included) changes nothing
     default = build_config({})
-    assert len(SCHEMA) == 66
+    assert len(SCHEMA) == 65
     for key, (path, _) in SCHEMA.items():
         value = default
         for attr in path:
@@ -390,10 +390,10 @@ def test_schema_aliases_and_pinned_hashes():
     assert cfg.comatrix_window == 3
     assert cfg.victim_train.epochs == 7
     assert cfg.eval_ks == (2, 4)
-    assert build_config({}).hash() == "e5ae004ab3802baf"
-    assert build_config({"seed": "5"}).hash() == "c6a1e0884123a812"
+    assert build_config({}).hash() == "7a5de101d2fa03bc"
+    assert build_config({"seed": "5"}).hash() == "f9e9dbb1121449c6"
     # where and how a run is invoked is not part of what it is
-    assert build_config({"out_dir": "elsewhere", "stages": "attack"}).hash() == "e5ae004ab3802baf"
+    assert build_config({"out_dir": "elsewhere", "stages": "attack"}).hash() == "7a5de101d2fa03bc"
 
 
 def test_config_seed_derivation_stable_and_overridable():
@@ -405,11 +405,14 @@ def test_config_seed_derivation_stable_and_overridable():
     assert forced.synth.seed == 123
 
 
-def test_config_fusion_weight_complement():
-    cfg = build_config({"attack.w_g": "0.8"})
-    assert cfg.attack.w_s == pytest.approx(0.2)
-    with pytest.raises(ConfigError):
-        build_config({"attack.w_g": "0.8", "attack.w_s": "0.8"})
+def test_config_has_one_fusion_weight(tmp_path, capsys):
+    assert build_config({"attack.w_g": "0.8"}).attack.w_g == 0.8
+    with pytest.raises(ConfigError, match="unknown config key 'attack.w_s'"):
+        build_config({"attack.w_s": "0.2"})
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--out", str(out), "--set", "attack.w_s=0.2"]) == 1
+    assert "config error: unknown config key 'attack.w_s'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attack_section_builds_each_pairs_attack_config():
@@ -419,7 +422,7 @@ def test_attack_section_builds_each_pairs_attack_config():
                        "attack.corel_kind": "ppmi", "attack.n_candidates": "2"}).attack
     assert ac.pollution(1, 5, 2) == AttackConfig(
         target=1, total_length=5, epsilon=0.3, n_candidates=2, neighbor_k=4, w_g=0.8,
-        w_s=ac.w_s, corel_kind="ppmi", seed=2)
+        corel_kind="ppmi", seed=2)
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -694,9 +697,9 @@ STUDIES = {
     "ablation": (run_ablation, "distill,attack,evaluate", [
         ("combined+dual", "combined+dual", "arm_combined_dual", {}),
         ("kl_only+grad_only", "kl_only+grad_only", "arm_kl_only_grad_only",
-         {"distill.lam": "0", "attack.w_g": "1", "attack.w_s": "0"}),
+         {"distill.lam": "0", "attack.w_g": "1"}),
         ("pair_only+collab_only", "pair_only+collab_only", "arm_pair_only_collab_only",
-         {"distill.lam": "1", "attack.w_g": "0", "attack.w_s": "1"}),
+         {"distill.lam": "1", "attack.w_g": "0"}),
     ]),
     "sweep": (run_alpha_sweep, "distill,evaluate", [
         (0.7, "alpha=0.7", "alpha_0.7", {"distill.alpha": "0.7"}),

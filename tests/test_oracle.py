@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def test_budget_exhausted_at_b_plus_one():
     bb = BlackBox(victim(), k=3, budget=4)
     for _ in range(4):
         bb.query([0])
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match=r"^query budget of 4 is spent: 0 left, 1 asked$"):
         bb.query([0])
     assert bb.used == 4
 
@@ -69,7 +71,7 @@ def test_query_batch_charges_per_row_and_matches_query():
 def test_query_batch_past_budget_charges_nothing():
     bb = BlackBox(victim(), k=3, budget=4, log_queries=True)
     bb.query([0])
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match=r"^query budget of 4 is spent: 3 left, 4 asked$"):
         bb.query_batch([[1], [2], [3], [4]])
     assert bb.used == 1 and len(bb.drain_log()) == 1
     assert len(bb.query_batch([[1], [2], [3]])) == 3
@@ -78,7 +80,7 @@ def test_query_batch_past_budget_charges_nothing():
 
 
 def test_log_drain_order_and_idempotence():
-    bb = BlackBox(victim(), k=3, budget=None)
+    bb = BlackBox(victim(), k=3, budget=None, log_queries=True)
     for x in ([0], [1, 2], [3]):
         bb.query(x)
     qs1 = bb.drain_log()
@@ -89,15 +91,15 @@ def test_log_drain_order_and_idempotence():
 
 
 def test_drain_empty_log():
-    bb = BlackBox(victim(), k=3)
+    bb = BlackBox(victim(), k=3, log_queries=True)
     assert len(bb.drain_log()) == 0
 
 
 def test_drain_without_logging_is_config_error():
-    bb = BlackBox(victim(), k=3, log_queries=False)
-    bb.query([0])
-    with pytest.raises(ConfigError):
-        bb.drain_log()
+    for bb in (BlackBox(victim(), k=3), BlackBox(victim(), k=3, log_queries=False)):
+        bb.query([0])
+        with pytest.raises(ConfigError):
+            bb.drain_log()
 
 
 def test_queryset_save_load_roundtrip(tmp_path):
@@ -120,19 +122,14 @@ def test_save_queryset_text_matches_plain_join(tmp_path):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
-def test_load_queryset_rejects_negative_id(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("1 2\t0 1 2\n3 -1\t0 1 2\n", "negative item id on line 2"),
+    ("1 2\t0 1 2\n3\t\n", "empty ranking on line 2"),
+    ("1 2\t0 1 2\n3\t0 1\n", "ranking length differs from line 1 on line 2"),
+    ("# truncated\n1\t0 1\n\n2\t0 1\n3\t0 1 2\n", "ranking length differs from line 2 on line 5"),
+], ids=["negative_id", "empty_ranking", "length_differs", "length_differs_after_header"])
+def test_load_queryset_rejects_malformed_record(tmp_path, text, message):
     path = tmp_path / "q.tsv"
-    path.write_text("1 2\t0 1 2\n3 -1\t0 1 2 3 4 5 6 7 8 9\n")
-    with pytest.raises(ValueError, match="line 2"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_queryset(path)
-
-
-def test_export_log_format(tmp_path):
-    bb = BlackBox(victim(), k=3)
-    bb.query([2, 5])
-    path = tmp_path / "log.tsv"
-    bb.export_log(path)
-    line = path.read_text().strip()
-    left, right = line.split("\t")
-    assert left == "2 5"
-    assert len(right.split()) == 3

@@ -149,8 +149,7 @@ def test_train_gives_the_allocating_kernels_bytes(data):
         epochs=data.draw(st.integers(1, 2)),
         seed=data.draw(st.integers(0, 9)),
     )
-    split = SplitDataset(users=tuple(map(str, range(len(seqs)))),
-                         train=tuple(map(tuple, seqs)), valid=(), test=())
+    split = SplitDataset(train=tuple(map(tuple, seqs)), valid=(), test=())
     assert_same_bytes(recmodel.train(params, split, cfg), ref_train(params, seqs, cfg))
 
 
@@ -188,7 +187,7 @@ def test_distill_train_gives_the_allocating_kernels_bytes(data):
 def _catalog_split(num_items, num_users):
     spec = SyntheticSpec(num_items=num_items, num_users=num_users, num_groups=20, seed=3)
     seqs = gen_synthetic_corpus(spec).sequences
-    return SplitDataset(users=tuple(map(str, range(len(seqs)))), train=seqs, valid=(), test=())
+    return SplitDataset(train=seqs, valid=(), test=())
 
 
 def test_successive_batches_write_into_the_same_memory(monkeypatch):
