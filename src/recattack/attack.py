@@ -12,7 +12,8 @@ the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,17 @@ import numpy as np
 # benchmark's tracer wraps it in every module that holds it
 from .corpus import COREL_KINDS, CoMatrix, corel, corel_row, topk_neighbors  # noqa: F401
 from .oracle import BlackBox
-from .ranking import topk_ids
-from .recmodel import RecommenderParams, appended_scores, ce_last_row_grad, forward_scores
+from .ranking import topk_ids, topk_rows
+from .recmodel import (
+    SCORE_BLOCK,
+    RecommenderParams,
+    appended_scores,
+    ce_last_row_grad,
+    forward_scores,
+    length_groups,
+    position_weights,
+    score_blocks,
+)
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -43,14 +53,18 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be >= 0 and finite")
         if self.n_candidates < 1 or self.neighbor_k < 1:
             raise ValueError("n_candidates and neighbor_k must be >= 1")
         if not 0 <= self.w_g <= 1:
             raise ValueError("fusion weight w_g must be in [0, 1]")
         if self.corel_kind not in COREL_KINDS:
             raise ValueError(f"unknown corel kind {self.corel_kind!r}")
+
+
+# the fields of an AttackConfig that pairs advanced together share
+_KNOBS = tuple(f.name for f in fields(AttackConfig) if f.name not in ("target", "total_length", "seed"))
 
 
 @dataclass(frozen=True)
@@ -71,11 +85,13 @@ class PolluteInfo:
     target_prob_end: float
 
 
-def _softmax_column(scores: np.ndarray, target: int):
+def _softmax_column(scores: np.ndarray, target):
     """recmodel.softmax(scores)[0][..., target], bit for bit, without
-    normalising the other columns or forming the log."""
+    normalising the other columns or forming the log. `target` is one
+    column, or an int array of one column per row of 2-D scores."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e[..., target] / e.sum(axis=-1)
+    col = e[np.arange(e.shape[0]), target] if np.ndim(target) else e[..., target]
+    return col / e.sum(axis=-1)
 
 
 def target_probability(params: RecommenderParams, x, target: int) -> float:
@@ -182,60 +198,269 @@ def cohort_filter(
     return set(_cohort(topk_neighbors(m, target, k, kind), sim_g, target, k).tolist())
 
 
+def _topk_rows_skip(scores: np.ndarray, k: int, skip: np.ndarray) -> np.ndarray:
+    """topk_ids(scores[r], k, skip=skip[r]) of every row r: the top
+    min(k + 1, V) ids with the skipped one left out, else the last one."""
+    n = min(k + 1, scores.shape[1])
+    top = topk_rows(scores, n)
+    keep = top != skip[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return top[keep].reshape(top.shape[0], n - 1)
+
+
+def _pooled(params: RecommenderParams, seqs) -> np.ndarray:
+    """encode(params, embed(params, x)) of every sequence x, zeros for an
+    empty one, as the rows of one (n, d) array: stacked matrix-vector
+    products, bit for bit."""
+    h = np.zeros((len(seqs), params.dim))
+    for rows, x in length_groups(seqs):
+        if x.shape[1]:
+            h[rows] = np.matmul(position_weights(params.gamma, x.shape[1]), params.emb[x])
+    return h
+
+
 @dataclass
-class _Step:
-    """One greedy step's work on a prefix before the fusion weight enters:
-    the cosine row, the cohort, the cohort's normalized relatedness, and the
-    target probability of every candidate tried in the slot so far."""
+class _Slot:
+    """One greedy step of some pairs: each row's cohort (ids ascending, padded
+    past `size`), its cosines and min-max relatedness, the shortlist scored,
+    their target probabilities, and the item appended."""
 
-    sim_g: np.ndarray
+    rows: np.ndarray  # the pairs, indices into the run
     items: np.ndarray
+    sim: np.ndarray
     stil: np.ndarray
-    probs: dict[int, float]
+    size: np.ndarray
+    cand: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    chosen: np.ndarray | None = None
 
 
-class _Work:
-    """The part of pollute_detailed's work that the fusion weight does not
-    change, for one surrogate, relatedness matrix, profile and cfg's target,
-    total_length, epsilon, neighbor_k and corel_kind: the start probability,
-    the target's relatedness row and neighbors, and a _Step per prefix
-    scored so far. attack_user's retry reuses its first pass's."""
+class _Lockstep:
+    """Greedy pollution of many (profile, cfg) pairs, advanced together: each
+    step makes the probes, cohorts, shortlists and candidate scores of every
+    pair still short of its total_length in stacked kernels, each row of
+    which equals the one-pair computation bit for bit. The cfgs may differ
+    only in target, total_length and seed.
 
-    def __init__(self, surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig):
-        self.surrogate, self.cfg, self.t = surrogate, cfg, int(cfg.target)
-        self.x = [int(i) for i in x]
+    Arrays of V columns are made a block of about SCORE_BLOCK scores at a
+    time (n_candidates times that for the candidate scores). A step with one
+    pair still active goes through step_one and the one-pair kernels
+    (_probe, _cohort, _minmax, _appended_probabilities), which cost less
+    than the stacked set-up for one row: pollute and attack_user, one pair
+    per call, take that path throughout."""
+
+    def __init__(self, surrogate: RecommenderParams, m: CoMatrix, xs, cfgs):
+        self.s, self.cfg = surrogate, cfgs[0]
         if surrogate.num_items < 2:
             raise ValueError("pollution needs a catalog of at least two items")
-        if len(self.x) > cfg.total_length:
+        self.xs = [[int(i) for i in x] for x in xs]
+        targets = [int(c.target) for c in cfgs]
+        for t in targets:
+            _check_target(t, surrogate.num_items)
+        steps = [c.total_length - len(x) for c, x in zip(cfgs, self.xs)]
+        if min(steps) < 0:
             raise ValueError("input already longer than the requested total length")
-        self.start = target_probability(surrogate, self.x, self.t) if self.x else 0.0
-        self.rel = corel_row(m, self.t, cfg.corel_kind)
-        self.neighbors = topk_ids(self.rel, cfg.neighbor_k, skip=self.t)
-        self.cosines = _cosine_table(surrogate).cosines
-        self.steps: dict[tuple[int, ...], _Step] = {}
+        self.t, self.steps = np.array(targets), np.array(steps)
+        # each target's relatedness row and neighbors, once per target
+        index: dict[int, int] = {}
+        self.inv = np.array([index.setdefault(t, len(index)) for t in targets])
+        self.rel = [corel_row(m, t, self.cfg.corel_kind) for t in index]
+        self.neighbors = [topk_ids(row, self.cfg.neighbor_k, skip=t) for row, t in zip(self.rel, index)]
+        self.table = _cosine_table(surrogate)
+        # where a first pass, greedy(arange(P)), keeps each pair in its slots
+        self.rank = np.empty_like(self.steps)
+        self.rank[np.argsort(-self.steps, kind="stable")] = np.arange(self.steps.size)
 
-    def step(self, z: list[int]) -> _Step:
-        key = tuple(z)
-        if key not in self.steps:
-            t, cfg = self.t, self.cfg
-            sim_g = self.cosines(_probe(self.surrogate, z + [t], t, cfg.epsilon))
-            items = _cohort(self.neighbors, sim_g, t, cfg.neighbor_k)
-            self.steps[key] = _Step(sim_g, items, _minmax(self.rel[items]), {})
-        return self.steps[key]
+    def probabilities(self, seqs) -> list[float]:
+        """target_probability(surrogate, seqs[r], t_r) of every pair r, 0 for
+        an empty sequence; one sequence goes through target_probability."""
+        if len(seqs) == 1:
+            return [target_probability(self.s, seqs[0], int(self.t[0])) if seqs[0] else 0.0]
+        out = np.zeros(len(seqs))
+        full = np.flatnonzero([len(z) > 0 for z in seqs])
+        for block, scores in score_blocks(self.s, [seqs[i] for i in full.tolist()]):
+            out[full[block]] = _softmax_column(scores, self.t[full[block]])
+        return out.tolist()
 
-    def probabilities(self, z: list[int], step: _Step, cand: np.ndarray) -> list[float]:
-        """Target probability of z + [c] for each candidate c. A candidate
-        set with one not tried yet is scored whole, in one batch."""
-        ids = cand.tolist()
-        if not all(c in step.probs for c in ids):
-            probs = _appended_probabilities(self.surrogate, z, cand, self.t)
-            step.probs.update(zip(ids, probs.tolist()))
-        return [step.probs[c] for c in ids]
+    def infos(self, zs) -> list[PolluteInfo]:
+        """Each pair's PolluteInfo for its polluted sequence zs[r]."""
+        return [PolluteInfo(fallback_steps=0, target_prob_start=a, target_prob_end=b)
+                for a, b in zip(self.probabilities(self.xs), self.probabilities(zs))]
+
+    def _cosines(self, rows: np.ndarray, zs) -> np.ndarray:
+        """grad_alignment(surrogate, zs[r] + [t_r], t_r, epsilon) of every
+        row r, as the rows of one (len(rows), V) array."""
+        emb, t, table = self.s.emb, self.t[rows], self.table
+        seqs = [zs[r] + [t_r] for r, t_r in zip(rows.tolist(), t.tolist())]
+        probes = np.empty((rows.size, self.s.dim))
+        for block, scores in score_blocks(self.s, seqs):
+            tb = t[block]
+            # ce_last_row_grad: the softmax, minus one at the target, pulled
+            # back through E and weighted by the last position's weight
+            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs /= probs.sum(axis=-1, keepdims=True)
+            probs[np.arange(block.size), tb] -= 1.0
+            w_last = position_weights(self.s.gamma, len(seqs[block[0]]))[-1]
+            gpos = w_last * np.matmul(probs[:, None, :], emb)[:, 0]
+            probes[block] = emb[tb] - self.cfg.epsilon * np.sign(gpos)
+        # _CosineTable.cosines, a row per probe; np.linalg.norm is sqrt(dot)
+        pnorm = np.sqrt(np.matmul(probes[:, None, :], probes[:, :, None])[:, 0, 0])
+        sims = np.zeros((rows.size, table.ok.size))
+        good = pnorm >= COSINE_NORM_FLOOR
+        dots = np.matmul(table.rows, probes[good][:, :, None])[..., 0]
+        sims[np.ix_(good, table.ok)] = dots / (table.norms * pnorm[good, None])
+        return sims
+
+    def cohorts(self, rows: np.ndarray, zs) -> _Slot:
+        """Each row's cohort on the prefix zs[r] (_cohort), its cosines, and
+        its min-max relatedness (_minmax), stacked; cohorts shorter than the
+        longest are padded with id 0."""
+        k, v = self.cfg.neighbor_k, self.s.num_items
+        t, inv = self.t[rows], self.inv[rows]
+        step = max(1, SCORE_BLOCK // v)
+        blocks = [(b, self._cosines(rows[b : b + step], zs)) for b in range(0, rows.size, step)]
+        aligned = np.concatenate([_topk_rows_skip(sims, k, t[b : b + step]) for b, sims in blocks])
+        nb = np.stack([self.neighbors[i] for i in inv.tolist()])
+        ids = np.sort(np.concatenate([nb, aligned], axis=1), axis=1)
+        repeat = np.zeros(ids.shape, dtype=bool)
+        repeat[:, 1:] = ids[:, 1:] == ids[:, :-1]
+        ids[repeat] = v  # past every id, so a second sort moves repeats last
+        items = np.sort(ids, axis=1)
+        size = ids.shape[1] - repeat.sum(axis=1)
+        valid = np.arange(items.shape[1]) < size[:, None]
+        items[~valid] = 0
+        sim = np.concatenate(
+            [sims[np.arange(sims.shape[0])[:, None], items[b : b + step]] for b, sims in blocks]
+        )
+        raw = np.stack([self.rel[i][row] for i, row in zip(inv.tolist(), items)])
+        lo = np.where(valid, raw, np.inf).min(axis=1, keepdims=True)
+        hi = np.where(valid, raw, -np.inf).max(axis=1, keepdims=True)
+        span = hi - lo
+        stil = np.where(span > 0, (raw - lo) / np.where(span > 0, span, 1.0), 0.5)
+        return _Slot(rows, items, sim, stil, size)
+
+    def candidate_probabilities(self, rows, zs, cand, count) -> np.ndarray:
+        """target_probability(zs[r] + [c], t_r) of each row's first count[r]
+        candidates: _appended_probabilities, whose (count, V) score matrix
+        is stacked over the rows."""
+        probs = np.zeros(cand.shape)
+        seqs = [zs[r] for r in rows.tolist()]
+        h = _pooled(self.s, seqs)
+        # the appended position's weight, once per prefix length
+        last = {n: position_weights(self.s.gamma, n + 1)[-1] for n in set(map(len, seqs))}
+        b = np.array([last[len(z)] for z in seqs])
+        emb, v, t = self.s.emb, self.s.num_items, self.t[rows]
+        for c in set(count.tolist()):
+            sel = np.flatnonzero(count == c)
+            step = max(1, SCORE_BLOCK // (c * v))
+            for lo in range(0, sel.size, step):
+                blk = sel[lo : lo + step]
+                hidden = ((1.0 - b[blk])[:, None] * h[blk])[:, None, :] + b[blk, None, None] * emb[cand[blk, :c]]
+                scores = (np.matmul(hidden, emb.T) + self.s.bias).reshape(-1, v)
+                probs[blk, :c] = _softmax_column(scores, np.repeat(t[blk], c)).reshape(-1, c)
+        return probs
+
+    def step_one(self, act: np.ndarray, z: list[int], w_g: float, old: _Slot | None) -> _Slot:
+        """The greedy step of act's one pair, on prefix z, through the
+        one-pair kernels; old is the first pass's slot of the step when z is
+        still the first pass's prefix. A step of one pair costs less this way
+        than through the stacked kernels."""
+        r = int(act[0])
+        cfg, t, i = self.cfg, int(self.t[r]), int(self.inv[r])
+        if old is None:
+            sims = self.table.cosines(_probe(self.s, z + [t], t, cfg.epsilon))
+            items = _cohort(self.neighbors[i], sims, t, cfg.neighbor_k)
+            sim, stil = sims[items], _minmax(self.rel[i][items])
+        else:
+            q = self.rank[r]
+            size = old.size[q]
+            items, sim, stil = old.items[q, :size], old.sim[q, :size], old.stil[q, :size]
+        top = topk_ids(fuse(sim, stil, w_g), cfg.n_candidates)
+        cand, cstil = items[top], stil[top]
+        ids, probs = cand.tolist(), None
+        if old is not None:
+            tried = dict(zip(old.cand[q].tolist(), old.probs[q].tolist()))
+            if all(c in tried for c in ids):
+                probs = np.array([tried[c] for c in ids])
+        if probs is None:
+            probs = _appended_probabilities(self.s, z, cand, t)
+        p = probs.tolist()
+        best = max(range(len(ids)), key=lambda i: (p[i], cstil[i], -ids[i]))
+        return _Slot(act, items[None], sim[None], stil[None], np.array([items.size]),
+                     cand[None], probs[None], cand[best : best + 1])
+
+    def greedy(self, rows: np.ndarray, w_g: float, memo: list[_Slot] | None = None):
+        """The greedy loop of pairs `rows` at fusion weight w_g; returns their
+        sequences and each step's _Slot.
+
+        With memo, the first pass's slots, a pair whose prefix is still the
+        first pass's reuses that step's cohort, and the candidates' stored
+        probabilities when its shortlist holds only candidates the first pass
+        tried; a shortlist with one it did not try is scored whole, as a
+        fresh pass scores it.
+        """
+        n = self.cfg.n_candidates
+        zs = {r: list(self.xs[r]) for r in rows.tolist()}
+        # most steps first, so the pairs still short after j steps lead
+        # `order`: live[j] of them, the count of -steps below -j
+        order = rows[np.argsort(-self.steps[rows], kind="stable")]
+        neg = -self.steps[order]
+        live = np.searchsorted(neg, -np.arange(-neg.min(initial=0)))
+        on_path = np.full(self.t.size, memo is not None)
+        slots = []
+        for j, count in enumerate(live.tolist()):
+            act = order[:count]
+            if count == 1:
+                r = int(act[0])
+                slot = self.step_one(act, zs[r], w_g, memo[j] if on_path[r] else None)
+                zs[r].append(int(slot.chosen[0]))
+                if memo is not None:
+                    on_path[r] = on_path[r] and slot.chosen[0] == memo[j].chosen[self.rank[r]]
+                else:
+                    slots.append(slot)
+                continue
+            kept = act[on_path[act]]
+            slot = self.cohorts(act[~on_path[act]], zs) if kept.size < count else None
+            if kept.size:
+                old = memo[j]
+                pos = self.rank[kept]  # each kept pair's row in the first pass's slot
+                cached = _Slot(kept, old.items[pos], old.sim[pos], old.stil[pos], old.size[pos])
+                slot = cached if slot is None else _Slot(
+                    *(np.concatenate([getattr(cached, f), getattr(slot, f)])
+                      for f in ("rows", "items", "sim", "stil", "size")))
+            fused = fuse(slot.sim, slot.stil, w_g)
+            width = fused.shape[1]
+            padded = slot.size.min() < width
+            if padded:
+                fused[np.arange(width) >= slot.size[:, None]] = -np.inf
+            top = topk_rows(fused, min(n, width))
+            at_row = np.arange(count)[:, None]
+            cand, cstil = slot.items[at_row, top], slot.stil[at_row, top]
+            if padded:  # a shortlist past a cohort smaller than n: -1 marks the gap
+                cand[top >= slot.size[:, None]] = -1
+            probs = np.zeros(cand.shape)
+            fresh = np.arange(count)
+            if kept.size:
+                seen = cand[: kept.size, :, None] == old.cand[pos][:, None, :]
+                probs[: kept.size] = old.probs[pos[:, None], seen.argmax(axis=2)]
+                tried = (seen.any(axis=2) | (cand[: kept.size] < 0)).all(axis=1)
+                fresh = fresh[np.concatenate([~tried, np.ones(count - kept.size, dtype=bool)])]
+            if fresh.size:
+                probs[fresh] = self.candidate_probabilities(
+                    slot.rows[fresh], zs, cand[fresh], np.minimum(n, slot.size[fresh]))
+            ranked = np.where(cand >= 0, probs, -np.inf) if padded else probs
+            chosen = cand[at_row[:, 0], np.lexsort((cand, -cstil, -ranked), axis=1)[:, 0]]
+            for r, item in zip(slot.rows.tolist(), chosen.tolist()):
+                zs[r].append(item)
+            if kept.size:
+                on_path[kept] = chosen[: kept.size] == old.chosen[pos]
+            if memo is None:
+                slot.cand, slot.probs, slot.chosen = cand, probs, chosen
+                slots.append(slot)
+        return [zs[r] for r in rows.tolist()], slots
 
 
-def pollute_detailed(
-    surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig, _work: _Work | None = None
-):
+def pollute_detailed(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig):
     """Greedy pollution loop; returns (sequence, PolluteInfo).
 
     Until the sequence reaches cfg.total_length: append the target as a
@@ -246,24 +471,13 @@ def pollute_detailed(
     never appended. The cohort holds the target's neighbor_k best related
     items, so it is never empty; the catalog must have two items or more.
 
-    The target's relatedness row and neighbors are computed once per call
-    and the cosine table once per frozen surrogate; grad_alignment,
+    This is attack_users' first pass for one pair; grad_alignment,
     cohort_filter and collab_signal are the same computations for a single
-    step. attack_user passes `_work` so that its retry, which changes only
-    the fusion weight, reuses the first pass's steps.
+    step.
     """
-    work = _Work(surrogate, m, x, cfg) if _work is None else _work
-    t, z = work.t, list(work.x)
-    info = PolluteInfo(fallback_steps=0, target_prob_start=work.start, target_prob_end=0.0)
-    while len(z) < cfg.total_length:
-        step = work.step(z)
-        top = topk_ids(fuse(step.sim_g[step.items], step.stil, cfg.w_g), cfg.n_candidates)
-        cand, stil = step.items[top], step.stil[top]
-        probs = work.probabilities(z, step, cand)
-        best = max(range(cand.size), key=lambda i: (probs[i], stil[i], -cand[i]))
-        z.append(int(cand[best]))
-    info.target_prob_end = target_probability(surrogate, z, t) if z else 0.0
-    return z, info
+    run = _Lockstep(surrogate, m, [x], [cfg])
+    zs, _ = run.greedy(np.arange(1), cfg.w_g)
+    return zs[0], run.infos(zs)[0]
 
 
 def pollute(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig) -> list[int]:
@@ -336,20 +550,85 @@ def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
     return rows
 
 
+def _check_k(bb: BlackBox, k: int) -> None:
+    if not (1 <= k <= bb.k):
+        raise ValueError(f"k={k} outside [1, {bb.k}], the black box's response length")
+
+
+def _exposure(ranked, target: int, k: int) -> ExposureResult:
+    """The target's exposure in the top k of a black-box ranking."""
+    top = list(ranked[:k])
+    if target in top:
+        rank = top.index(int(target)) + 1
+        return ExposureResult(hit=True, rank=rank, reciprocal_rank=1.0 / rank)
+    return ExposureResult(hit=False, rank=None, reciprocal_rank=0.0)
+
+
 def validate(bb: BlackBox, z, target: int, k: int) -> ExposureResult:
     """Query the black box with z and report the target's exposure in top-k.
 
     k must lie in [1, bb.k]: the black box answers with its top bb.k only.
     """
     _check_target(target, bb.num_items)
-    if not (1 <= k <= bb.k):
-        raise ValueError(f"k={k} outside [1, {bb.k}], the black box's response length")
-    ranked = bb.query(z)
-    top = list(ranked[:k])
-    if target in top:
-        rank = top.index(int(target)) + 1
-        return ExposureResult(hit=True, rank=rank, reciprocal_rank=1.0 / rank)
-    return ExposureResult(hit=False, rank=None, reciprocal_rank=0.0)
+    _check_k(bb, k)
+    return _exposure(bb.query(z), target, k)
+
+
+def attack_users(
+    surrogate: RecommenderParams,
+    m: CoMatrix,
+    bb: BlackBox,
+    xs,
+    cfgs,
+    k: int,
+    refine: bool = True,
+):
+    """Pollute every profile xs[i] for cfgs[i] and validate on the black box;
+    returns one (z, ExposureResult, refined, PolluteInfo) per pair.
+
+    Pairs whose cfgs differ only in target, total_length and seed advance
+    their greedy loops together (_Lockstep). All first-pass sequences are
+    validated in one query_batch. When `refine` is set, the pairs that miss
+    the top-k are retried together with the gradient weight raised by 0.2
+    (clamped to 1), each reusing its first pass's work, and validated in a
+    second query_batch; a retried pair reports the retry's outcome either
+    way. Each pair gets what pollute_detailed and validate give it alone,
+    bit for bit, and one charge per validation.
+    """
+    if len(xs) != len(cfgs):
+        raise ValueError("attack_users needs one cfg per profile")
+    for cfg in cfgs:
+        _check_target(cfg.target, bb.num_items)
+    _check_k(bb, k)
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(tuple(getattr(cfg, f) for f in _KNOBS), []).append(i)
+    runs = [(idx, _Lockstep(surrogate, m, [xs[i] for i in idx], [cfgs[i] for i in idx]))
+            for idx in groups.values()]
+    zs, memos = [None] * len(cfgs), []
+    for idx, run in runs:
+        first, slots = run.greedy(np.arange(len(idx)), run.cfg.w_g)
+        for i, z in zip(idx, first):
+            zs[i] = z
+        memos.append(slots)
+    results = [_exposure(r, cfg.target, k) for r, cfg in zip(bb.query_batch(zs), cfgs)]
+    refined = [False] * len(cfgs)
+    if refine:
+        for (idx, run), slots in zip(runs, memos):
+            miss = [j for j, i in enumerate(idx) if not results[i].hit]
+            if miss:
+                second, _ = run.greedy(np.array(miss), min(1.0, run.cfg.w_g + 0.2), slots)
+                for j, z in zip(miss, second):
+                    zs[idx[j]], refined[idx[j]] = z, True
+        again = [i for i, r in enumerate(refined) if r]
+        if again:
+            for i, r in zip(again, bb.query_batch([zs[i] for i in again])):
+                results[i] = _exposure(r, cfgs[i].target, k)
+    infos = [None] * len(cfgs)
+    for idx, run in runs:
+        for i, info in zip(idx, run.infos([zs[i] for i in idx])):
+            infos[i] = info
+    return list(zip(zs, results, refined, infos))
 
 
 def attack_user(
@@ -361,18 +640,6 @@ def attack_user(
     k: int,
     refine: bool = True,
 ):
-    """Pollute one profile and validate on the black box.
-
-    When validation misses the top-k and `refine` is set, one retry is made
-    with the gradient weight raised by 0.2 (clamped to 1); the retry's
-    outcome is reported either way. Returns (z, ExposureResult, refined,
-    PolluteInfo).
-    """
-    work = _Work(surrogate, m, x, cfg)
-    z, info = pollute_detailed(surrogate, m, x, cfg, work)
-    result = validate(bb, z, cfg.target, k)
-    if result.hit or not refine:
-        return z, result, False, info
-    retry_cfg = replace(cfg, w_g=min(1.0, cfg.w_g + 0.2))
-    z2, info2 = pollute_detailed(surrogate, m, x, retry_cfg, work)
-    return z2, validate(bb, z2, cfg.target, k), True, info2
+    """Pollute one profile and validate on the black box: attack_users for
+    one pair. Returns (z, ExposureResult, refined, PolluteInfo)."""
+    return attack_users(surrogate, m, bb, [x], [cfg], k, refine)[0]

@@ -10,6 +10,7 @@ the whole run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -88,8 +89,8 @@ class AttackStageConfig:
         for name in ("num_users", "num_targets", "eval_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.length_factor <= 0:
-            raise ValueError("length_factor must be > 0")
+        if not 0 < self.length_factor < math.inf:  # NaN fails too
+            raise ValueError("length_factor must be > 0 and finite")
 
     def pollution(self, target: int, total_length: int, seed: int) -> AttackConfig:
         """One (user, target) pair's AttackConfig: every pollution knob it has

@@ -14,8 +14,10 @@ and attack each record the queries they charged as `oracle_queries`. A
 querying stage's oracle starts from what the earlier stages' records spent,
 and the report's budget is the sum over all records, so a run split over
 several invocations spends and reports what the one-shot run does. The
-budget is the attacker's: the attack stage charges only attack_user's
-validations, one per pair plus one per refine retry. It measures every arm
+budget is the attacker's: the attack stage pollutes all its (user, target)
+pairs in one attack_users call, which advances them in lockstep, and
+charges only its validations, one per pair plus one per refine retry, made
+as two batched queries. It measures every arm
 (the original profiles, the polluted ones and both baselines) on the victim
 directly, one batched ranking per arm, and charges nothing for it.
 
@@ -339,8 +341,9 @@ _ARM_METRICS = {"original": "pre", "dual": "post", "rand": "rand_post", "sim": "
 
 
 def _stage_attack(ctx: _Context) -> dict:
-    """Pollute every (user, target) pair with the attacker's oracle, then
-    measure every arm on the victim itself: no measurement is charged."""
+    """Pollute every (user, target) pair with the attacker's oracle, all
+    pairs in one attack_users call, then measure every arm on the victim
+    itself: no measurement is charged."""
     corpus, comatrix, surrogate, victim = ctx.corpus, ctx.comatrix, ctx.surrogate, ctx.victim
     bb = _oracle(ctx, "attack")
     ac = ctx.cfg.attack
@@ -355,19 +358,22 @@ def _stage_attack(ctx: _Context) -> dict:
     )
 
     pairs = [(u, t) for t in targets for u in user_idx]
-    arms = {arm: [] for arm in _ARM_METRICS}  # each pair's sequence per arm
-    refined_count, surrogate_prob_gain = 0, 0.0
+    cfgs = []
     for u, t in pairs:
         x = corpus.sequences[u]
         total = max(len(x) + 1, math.ceil(ac.length_factor * len(x)))
-        pair_seed = int(rng.integers(2**31))
-        z, _, refined, info = atk.attack_user(
-            surrogate, comatrix, bb, x, ac.pollution(t, total, pair_seed), ac.eval_k,
-            refine=ac.refine,
-        )
+        cfgs.append(ac.pollution(t, total, int(rng.integers(2**31))))
+    attacked = atk.attack_users(
+        surrogate, comatrix, bb, [corpus.sequences[u] for u, _ in pairs], cfgs, ac.eval_k,
+        refine=ac.refine,
+    )
+    arms = {arm: [] for arm in _ARM_METRICS}  # each pair's sequence per arm
+    refined_count, surrogate_prob_gain = 0, 0.0
+    for (u, t), cfg, (z, _, refined, info) in zip(pairs, cfgs, attacked):
+        x, total = corpus.sequences[u], cfg.total_length
         arms["original"].append(x)
         arms["dual"].append(z)
-        arms["rand"].append(atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=pair_seed))
+        arms["rand"].append(atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=cfg.seed))
         arms["sim"].append(atk.baseline_sim_alter(surrogate, x, t, total))
         refined_count += int(refined)
         surrogate_prob_gain += info.target_prob_end - info.target_prob_start

@@ -74,6 +74,9 @@ def load_queryset(path) -> QuerySet:
             raise ValueError(f"{path}: negative item id on line {lineno}")
         if not ranked:
             raise ValueError(f"{path}: empty ranking on line {lineno}")
+        if len(set(ranked)) < len(ranked):  # a top-k response lists an item once
+            again = next(i for n, i in enumerate(ranked) if i in ranked[:n])
+            raise ValueError(f"{path}: ranking repeats item {again} on line {lineno}")
         if not pairs:
             first = lineno
         elif len(ranked) != len(pairs[0][1]):

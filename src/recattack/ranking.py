@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+FULL_SORT = 256  # topk_ids sorts this many scores or fewer whole
+
 
 def topk_ids(scores, k: int, skip: int | None = None) -> np.ndarray:
     """Ids of the k highest scores, descending, ties broken by ascending id.
@@ -13,7 +15,8 @@ def topk_ids(scores, k: int, skip: int | None = None) -> np.ndarray:
     one id is skipped): np.partition finds that value, and every id tied
     with it stays in the sorted subset, so the cut falls where the full
     sort puts it. NaN scores sort last, as in the full sort. Fewer than k
-    ids come back only when fewer exist.
+    ids come back only when fewer exist. Up to FULL_SORT scores are sorted
+    whole by a stable argsort, which is that order and faster on so few.
     """
     neg = -np.asarray(scores, dtype=np.float64)
     k = int(k)
@@ -21,11 +24,14 @@ def topk_ids(scores, k: int, skip: int | None = None) -> np.ndarray:
     ids = np.arange(neg.size)
     if n < 1:
         return ids[:0]
-    if n < neg.size:
-        kth = np.partition(neg, n - 1)[n - 1]
-        if not np.isnan(kth):
-            ids = np.flatnonzero(neg <= kth)
-    top = ids[np.lexsort((ids, neg[ids]))]
+    if neg.size <= FULL_SORT:
+        top = np.argsort(neg, kind="stable")
+    else:
+        if n < neg.size:
+            kth = np.partition(neg, n - 1)[n - 1]
+            if not np.isnan(kth):
+                ids = np.flatnonzero(neg <= kth)
+        top = ids[np.lexsort((ids, neg[ids]))]
     if skip is not None:
         top = top[top != skip]
     return top[:k]

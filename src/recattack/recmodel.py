@@ -10,6 +10,7 @@ victim/surrogate and as a differentiable building block for attacks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -138,11 +139,21 @@ def init_params(num_items: int, dim: int, gamma: float = 0.8, seed: int = 0) -> 
 
 
 def position_weights(gamma: float, length: int) -> np.ndarray:
-    """Normalized recency weights gamma^(T-t) for positions t = 1..T."""
+    """Normalized recency weights gamma^(T-t) for positions t = 1..T.
+
+    One read-only array per (gamma, T), made on first use and then shared:
+    every forward pass asks for one, mostly for the same few lengths."""
     if length < 1:
         raise ValueError("length must be >= 1")
+    return _position_weights(float(gamma), int(length))
+
+
+@functools.lru_cache(maxsize=1024)
+def _position_weights(gamma: float, length: int) -> np.ndarray:
     w = gamma ** np.arange(length - 1, -1, -1, dtype=np.float64)
-    return w / w.sum()
+    w = w / w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def embed(params: RecommenderParams, x) -> np.ndarray:
@@ -353,10 +364,13 @@ def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
     if not (0 <= target < params.num_items):
         raise ValueError("target out of range")
     rows = embed(params, x)
-    scores = score_all(params, encode(params, rows))
-    probs, _ = softmax(scores)
+    w = position_weights(params.gamma, rows.shape[0])
+    scores = score_all(params, w @ rows)
+    # softmax(scores)[0]: the same operations, without the log
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
     probs[target] -= 1.0
-    return position_weights(params.gamma, rows.shape[0])[-1] * (probs @ params.emb)
+    return w[-1] * (probs @ params.emb)
 
 
 def adam_step(value, grad, m, v, step, cfg: TrainConfig, tmp) -> None:
@@ -446,6 +460,24 @@ def recommend_topk(params: RecommenderParams, x, k: int) -> list[int]:
 SCORE_BLOCK = 1 << 15  # scores per block: 128 prefixes on a 256-item catalog
 
 
+def length_groups(prefixes):
+    """[(rows, X)]: per prefix length T, the rows of `prefixes` of that length
+    and their items as an (n, T) int64 array, lengths ascending.
+
+    `prefixes` is a list of sequences or a 2-D array of equal-length ones.
+    """
+    if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
+        return [(np.arange(prefixes.shape[0]), prefixes.astype(np.int64, copy=False))]
+    prefixes = [list(x) for x in prefixes]
+    lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+    groups = []
+    for t in np.unique(lengths):
+        rows = np.flatnonzero(lengths == t)
+        x = np.array([prefixes[r] for r in rows], dtype=np.int64).reshape(rows.size, t)
+        groups.append((rows, x))
+    return groups
+
+
 def score_blocks(params: RecommenderParams, prefixes):
     """Yield (rows, scores): forward_scores of prefixes[rows], a block of about
     SCORE_BLOCK scores at a time.
@@ -456,18 +488,8 @@ def score_blocks(params: RecommenderParams, prefixes):
     matrix-vector products, so every row equals forward_scores bit for bit;
     H @ E.T, one matrix product, differs in the last bits.
     """
-    if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
-        groups = [(np.arange(prefixes.shape[0]), prefixes.astype(np.int64, copy=False))]
-    else:
-        prefixes = [list(x) for x in prefixes]
-        lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
-        groups = []
-        for t in np.unique(lengths):
-            rows = np.flatnonzero(lengths == t)
-            x = np.array([prefixes[r] for r in rows], dtype=np.int64).reshape(rows.size, t)
-            groups.append((rows, x))
     step = max(1, SCORE_BLOCK // params.num_items)
-    for rows, x in groups:
+    for rows, x in length_groups(prefixes):
         if x.shape[1] == 0:
             raise ValueError("sequence must be non-empty")
         if x.size and (x.min() < 0 or x.max() >= params.num_items):
@@ -483,6 +505,8 @@ def recommend_topk_batch(params: RecommenderParams, prefixes, k: int) -> np.ndar
     """recommend_topk(params, x, k) of every prefix x, as the rows of an (n, k) array."""
     if not (1 <= k <= params.num_items):
         raise ValueError("k must be in [1, V]")
+    if len(prefixes) == 1:  # one prefix: the single-prefix path costs less
+        return np.array([recommend_topk(params, prefixes[0], k)], dtype=np.int64)
     out = np.empty((len(prefixes), k), dtype=np.int64)
     for rows, scores in score_blocks(params, prefixes):
         out[rows] = topk_rows(scores, k)

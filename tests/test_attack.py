@@ -406,6 +406,14 @@ def test_attack_config_validates_simplex():
         AttackConfig(target=0, total_length=5, corel_kind="bogus")
 
 
+def test_attack_config_rejects_a_non_finite_epsilon():
+    # a NaN probe reads every cosine as 0, so the gradient signal would drop out unseen
+    for eps in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+            AttackConfig(target=0, total_length=5, epsilon=eps)
+    AttackConfig(target=0, total_length=5, epsilon=0.0)
+
+
 def test_polluted_sequences_roundtrip(tmp_path):
     from recattack.attack import load_polluted_sequences, save_polluted_sequences
 

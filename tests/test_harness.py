@@ -797,6 +797,19 @@ def test_cli_eval_k_beyond_the_oracle_response_exits_1(tmp_path, capsys):
     assert tiny_config(out, {"attack.eval_k": "8"}).attack.eval_k == 8
 
 
+@pytest.mark.parametrize("key, value", [
+    ("attack.epsilon", "nan"), ("attack.epsilon", "inf"),
+    ("attack.length_factor", "nan"), ("attack.length_factor", "inf"),
+])
+def test_non_finite_attack_setting_is_a_config_error(tmp_path, capsys, key, value):
+    # rejected where it enters: exit 1 before any stage writes a file
+    out = tmp_path / "out"
+    assert cli.main(cli_args("pipeline", out, ["--set", f"{key}={value}"])) == 1
+    name = key.split(".")[1]
+    assert re.search(rf"config error: attack: {name} must be .* and finite$", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
 def test_cli_out_of_range_value_exits_1(tmp_path, capsys):
     rc = cli.main(["pipeline", "--out", str(tmp_path), "--set", "distill.alpha=1.0"])
     assert rc == 1

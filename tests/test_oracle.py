@@ -127,7 +127,10 @@ def test_save_queryset_text_matches_plain_join(tmp_path):
     ("1 2\t0 1 2\n3\t\n", "empty ranking on line 2"),
     ("1 2\t0 1 2\n3\t0 1\n", "ranking length differs from line 1 on line 2"),
     ("# truncated\n1\t0 1\n\n2\t0 1\n3\t0 1 2\n", "ranking length differs from line 2 on line 5"),
-], ids=["negative_id", "empty_ranking", "length_differs", "length_differs_after_header"])
+    ("1 2\t0 1 1\n3\t0 1 2\n", "ranking repeats item 1 on line 1"),
+    ("1 2\t0 1 2\n3\t4 0 3 0\n", "ranking repeats item 0 on line 2"),
+], ids=["negative_id", "empty_ranking", "length_differs", "length_differs_after_header",
+        "repeated_id", "repeated_id_later"])
 def test_load_queryset_rejects_malformed_record(tmp_path, text, message):
     path = tmp_path / "q.tsv"
     path.write_text(text)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from recattack import ranking
 from recattack.ranking import topk_ids, topk_rows
 
 
@@ -15,15 +18,18 @@ VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
         max_size=30,
     ),
     data=st.data(),
+    full_sort=st.sampled_from([0, ranking.FULL_SORT]),
 )
-def test_topk_ids_equals_full_lexsort(scores, data):
-    # a small value set makes ties, at the cut too, the common case
+def test_topk_ids_equals_full_lexsort(scores, data, full_sort):
+    # a small value set makes ties, at the cut too, the common case; with
+    # FULL_SORT at 0 these short arrays take the partition path
     s = np.array(scores)
     v = s.size
     skip = data.draw(st.none() | st.integers(0, v - 1))
     order = [int(i) for i in np.lexsort((np.arange(v), -s)) if i != skip]
-    for k in range(1, v + 1):
-        assert topk_ids(s, k, skip).tolist() == order[:k]
+    with mock.patch.object(ranking, "FULL_SORT", full_sort):
+        for k in range(1, v + 1):
+            assert topk_ids(s, k, skip).tolist() == order[:k]
 
 
 @settings(max_examples=200, deadline=None)
