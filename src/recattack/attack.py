@@ -63,7 +63,7 @@ class AttackConfig:
             raise ValueError(f"unknown corel kind {self.corel_kind!r}")
 
 
-# the fields of an AttackConfig that pairs advanced together share
+# the fields of an AttackConfig that every cfg of one attack_users call shares
 _KNOBS = tuple(f.name for f in fields(AttackConfig) if f.name not in ("target", "total_length", "seed"))
 
 
@@ -225,7 +225,6 @@ class _Slot:
     past `size`), its cosines and min-max relatedness, the shortlist scored,
     their target probabilities, and the item appended."""
 
-    rows: np.ndarray  # the pairs, indices into the run
     items: np.ndarray
     sim: np.ndarray
     stil: np.ndarray
@@ -236,21 +235,21 @@ class _Slot:
 
 
 class _Lockstep:
-    """Greedy pollution of many (profile, cfg) pairs, advanced together: each
-    step makes the probes, cohorts, shortlists and candidate scores of every
-    pair still short of its total_length in stacked kernels, each row of
-    which equals the one-pair computation bit for bit. The cfgs may differ
-    only in target, total_length and seed.
+    """Greedy pollution of many (profile, cfg) pairs with one knob set: the
+    cfgs may differ only in target, total_length and seed. greedy runs every
+    pair's first pass together: each step makes the probes, cohorts,
+    shortlists and candidate scores of every pair still short of its
+    total_length in stacked kernels, each row of which equals the one-pair
+    computation bit for bit. retry replays one pair at another fusion weight
+    over the first pass's records.
 
     Arrays of V columns are made a block of about SCORE_BLOCK scores at a
-    time (n_candidates times that for the candidate scores). A step with one
-    pair still active goes through step_one and the one-pair kernels
-    (_probe, _cohort, _minmax, _appended_probabilities), which cost less
-    than the stacked set-up for one row: pollute and attack_user, one pair
-    per call, take that path throughout."""
+    time (n_candidates times that for the candidate scores)."""
 
     def __init__(self, surrogate: RecommenderParams, m: CoMatrix, xs, cfgs):
         self.s, self.cfg = surrogate, cfgs[0]
+        if any(getattr(c, f) != getattr(self.cfg, f) for c in cfgs for f in _KNOBS):
+            raise ValueError("one knob set per call: cfgs may differ only in target, total_length and seed")
         if surrogate.num_items < 2:
             raise ValueError("pollution needs a catalog of at least two items")
         self.xs = [[int(i) for i in x] for x in xs]
@@ -267,9 +266,11 @@ class _Lockstep:
         self.rel = [corel_row(m, t, self.cfg.corel_kind) for t in index]
         self.neighbors = [topk_ids(row, self.cfg.neighbor_k, skip=t) for row, t in zip(self.rel, index)]
         self.table = _cosine_table(surrogate)
-        # where a first pass, greedy(arange(P)), keeps each pair in its slots
+        # most steps first, so the pairs still short after j steps lead the
+        # order; rank[r] is pair r's row in every slot of the first pass
+        self.order = np.argsort(-self.steps, kind="stable")
         self.rank = np.empty_like(self.steps)
-        self.rank[np.argsort(-self.steps, kind="stable")] = np.arange(self.steps.size)
+        self.rank[self.order] = np.arange(self.steps.size)
 
     def probabilities(self, seqs) -> list[float]:
         """target_probability(surrogate, seqs[r], t_r) of every pair r, 0 for
@@ -337,7 +338,7 @@ class _Lockstep:
         hi = np.where(valid, raw, -np.inf).max(axis=1, keepdims=True)
         span = hi - lo
         stil = np.where(span > 0, (raw - lo) / np.where(span > 0, span, 1.0), 0.5)
-        return _Slot(rows, items, sim, stil, size)
+        return _Slot(items, sim, stil, size)
 
     def candidate_probabilities(self, rows, zs, cand, count) -> np.ndarray:
         """target_probability(zs[r] + [c], t_r) of each row's first count[r]
@@ -360,12 +361,17 @@ class _Lockstep:
                 probs[blk, :c] = _softmax_column(scores, np.repeat(t[blk], c)).reshape(-1, c)
         return probs
 
-    def step_one(self, act: np.ndarray, z: list[int], w_g: float, old: _Slot | None) -> _Slot:
-        """The greedy step of act's one pair, on prefix z, through the
-        one-pair kernels; old is the first pass's slot of the step when z is
-        still the first pass's prefix. A step of one pair costs less this way
-        than through the stacked kernels."""
-        r = int(act[0])
+    def step_one(self, r: int, z: list[int], w_g: float, old: _Slot | None) -> _Slot:
+        """The greedy step of pair r on prefix z through the one-pair kernels
+        (_probe, _cohort, _minmax, _appended_probabilities); old is the first
+        pass's slot of the step while z is still the first pass's prefix.
+        Its cohort is reused, and the stored probabilities too when the
+        shortlist holds only candidates old tried; otherwise the shortlist is
+        scored whole, as a fresh pass scores it.
+
+        A step of one pair costs less this way than through the stacked
+        kernels: sending the one-pair steps of the pollute benchmark through
+        them took its run_s from 0.40-0.45 s to 0.70-0.77 s."""
         cfg, t, i = self.cfg, int(self.t[r]), int(self.inv[r])
         if old is None:
             sims = self.table.cosines(_probe(self.s, z + [t], t, cfg.epsilon))
@@ -386,78 +392,55 @@ class _Lockstep:
             probs = _appended_probabilities(self.s, z, cand, t)
         p = probs.tolist()
         best = max(range(len(ids)), key=lambda i: (p[i], cstil[i], -ids[i]))
-        return _Slot(act, items[None], sim[None], stil[None], np.array([items.size]),
+        return _Slot(items[None], sim[None], stil[None], np.array([items.size]),
                      cand[None], probs[None], cand[best : best + 1])
 
-    def greedy(self, rows: np.ndarray, w_g: float, memo: list[_Slot] | None = None):
-        """The greedy loop of pairs `rows` at fusion weight w_g; returns their
-        sequences and each step's _Slot.
-
-        With memo, the first pass's slots, a pair whose prefix is still the
-        first pass's reuses that step's cohort, and the candidates' stored
-        probabilities when its shortlist holds only candidates the first pass
-        tried; a shortlist with one it did not try is scored whole, as a
-        fresh pass scores it.
-        """
+    def greedy(self, w_g: float):
+        """Every pair's first pass at fusion weight w_g; returns the
+        sequences and each step's _Slot, whose row rank[r] is pair r's. A
+        step with one pair still active goes through step_one."""
         n = self.cfg.n_candidates
-        zs = {r: list(self.xs[r]) for r in rows.tolist()}
-        # most steps first, so the pairs still short after j steps lead
-        # `order`: live[j] of them, the count of -steps below -j
-        order = rows[np.argsort(-self.steps[rows], kind="stable")]
-        neg = -self.steps[order]
-        live = np.searchsorted(neg, -np.arange(-neg.min(initial=0)))
-        on_path = np.full(self.t.size, memo is not None)
+        zs = [list(x) for x in self.xs]
+        neg = -self.steps[self.order]
+        live = np.searchsorted(neg, -np.arange(-neg.min(initial=0)))  # pairs active at step j
         slots = []
-        for j, count in enumerate(live.tolist()):
-            act = order[:count]
+        for count in live.tolist():
+            act = self.order[:count]
             if count == 1:
-                r = int(act[0])
-                slot = self.step_one(act, zs[r], w_g, memo[j] if on_path[r] else None)
-                zs[r].append(int(slot.chosen[0]))
-                if memo is not None:
-                    on_path[r] = on_path[r] and slot.chosen[0] == memo[j].chosen[self.rank[r]]
-                else:
-                    slots.append(slot)
-                continue
-            kept = act[on_path[act]]
-            slot = self.cohorts(act[~on_path[act]], zs) if kept.size < count else None
-            if kept.size:
-                old = memo[j]
-                pos = self.rank[kept]  # each kept pair's row in the first pass's slot
-                cached = _Slot(kept, old.items[pos], old.sim[pos], old.stil[pos], old.size[pos])
-                slot = cached if slot is None else _Slot(
-                    *(np.concatenate([getattr(cached, f), getattr(slot, f)])
-                      for f in ("rows", "items", "sim", "stil", "size")))
-            fused = fuse(slot.sim, slot.stil, w_g)
-            width = fused.shape[1]
-            padded = slot.size.min() < width
-            if padded:
-                fused[np.arange(width) >= slot.size[:, None]] = -np.inf
-            top = topk_rows(fused, min(n, width))
-            at_row = np.arange(count)[:, None]
-            cand, cstil = slot.items[at_row, top], slot.stil[at_row, top]
-            if padded:  # a shortlist past a cohort smaller than n: -1 marks the gap
-                cand[top >= slot.size[:, None]] = -1
-            probs = np.zeros(cand.shape)
-            fresh = np.arange(count)
-            if kept.size:
-                seen = cand[: kept.size, :, None] == old.cand[pos][:, None, :]
-                probs[: kept.size] = old.probs[pos[:, None], seen.argmax(axis=2)]
-                tried = (seen.any(axis=2) | (cand[: kept.size] < 0)).all(axis=1)
-                fresh = fresh[np.concatenate([~tried, np.ones(count - kept.size, dtype=bool)])]
-            if fresh.size:
-                probs[fresh] = self.candidate_probabilities(
-                    slot.rows[fresh], zs, cand[fresh], np.minimum(n, slot.size[fresh]))
-            ranked = np.where(cand >= 0, probs, -np.inf) if padded else probs
-            chosen = cand[at_row[:, 0], np.lexsort((cand, -cstil, -ranked), axis=1)[:, 0]]
-            for r, item in zip(slot.rows.tolist(), chosen.tolist()):
+                slot = self.step_one(int(act[0]), zs[act[0]], w_g, None)
+            else:
+                slot = self.cohorts(act, zs)
+                fused = fuse(slot.sim, slot.stil, w_g)
+                width = fused.shape[1]
+                padded = slot.size.min() < width
+                if padded:
+                    fused[np.arange(width) >= slot.size[:, None]] = -np.inf
+                top = topk_rows(fused, min(n, width))
+                at_row = np.arange(count)[:, None]
+                cand, cstil = slot.items[at_row, top], slot.stil[at_row, top]
+                if padded:  # a shortlist past a cohort smaller than n: -1 marks the gap
+                    cand[top >= slot.size[:, None]] = -1
+                probs = self.candidate_probabilities(act, zs, cand, np.minimum(n, slot.size))
+                ranked = np.where(cand >= 0, probs, -np.inf) if padded else probs
+                slot.cand, slot.probs = cand, probs
+                slot.chosen = cand[at_row[:, 0], np.lexsort((cand, -cstil, -ranked), axis=1)[:, 0]]
+            for r, item in zip(act.tolist(), slot.chosen.tolist()):
                 zs[r].append(item)
-            if kept.size:
-                on_path[kept] = chosen[: kept.size] == old.chosen[pos]
-            if memo is None:
-                slot.cand, slot.probs, slot.chosen = cand, probs, chosen
-                slots.append(slot)
-        return [zs[r] for r in rows.tolist()], slots
+            slots.append(slot)
+        return zs, slots
+
+    def retry(self, r: int, w_g: float, slots: list[_Slot]) -> list[int]:
+        """Pair r's greedy loop at fusion weight w_g, replayed one step at a
+        time through step_one over the first pass's slots: each step reuses
+        the first pass's work while the prefix is still the first pass's. A
+        fresh pass with no reuse took the pollute benchmark's run_s from
+        0.40-0.45 s to 0.48-0.57 s."""
+        z, on_path = list(self.xs[r]), True
+        for old in slots[: self.steps[r]]:
+            item = int(self.step_one(r, z, w_g, old if on_path else None).chosen[0])
+            on_path = on_path and item == old.chosen[self.rank[r]]
+            z.append(item)
+        return z
 
 
 def pollute_detailed(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackConfig):
@@ -476,7 +459,7 @@ def pollute_detailed(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackCo
     step.
     """
     run = _Lockstep(surrogate, m, [x], [cfg])
-    zs, _ = run.greedy(np.arange(1), cfg.w_g)
+    zs, _ = run.greedy(cfg.w_g)
     return zs[0], run.infos(zs)[0]
 
 
@@ -586,49 +569,34 @@ def attack_users(
     """Pollute every profile xs[i] for cfgs[i] and validate on the black box;
     returns one (z, ExposureResult, refined, PolluteInfo) per pair.
 
-    Pairs whose cfgs differ only in target, total_length and seed advance
-    their greedy loops together (_Lockstep). All first-pass sequences are
-    validated in one query_batch. When `refine` is set, the pairs that miss
-    the top-k are retried together with the gradient weight raised by 0.2
-    (clamped to 1), each reusing its first pass's work, and validated in a
-    second query_batch; a retried pair reports the retry's outcome either
-    way. Each pair gets what pollute_detailed and validate give it alone,
-    bit for bit, and one charge per validation.
+    One knob set per call: cfgs that differ in more than target,
+    total_length and seed raise ValueError before any query. The first
+    passes advance together (_Lockstep.greedy) and are validated in one
+    query_batch. With `refine`, each pair that misses the top-k is retried
+    with the gradient weight raised by 0.2 (clamped to 1), replayed one pair
+    at a time over its first pass's records (_Lockstep.retry), and the
+    retries are validated in a second query_batch; a retried pair reports
+    the retry's outcome either way. Each pair gets what pollute_detailed and
+    validate give it alone, bit for bit, and one charge per validation.
     """
     if len(xs) != len(cfgs):
         raise ValueError("attack_users needs one cfg per profile")
     for cfg in cfgs:
         _check_target(cfg.target, bb.num_items)
     _check_k(bb, k)
-    groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(tuple(getattr(cfg, f) for f in _KNOBS), []).append(i)
-    runs = [(idx, _Lockstep(surrogate, m, [xs[i] for i in idx], [cfgs[i] for i in idx]))
-            for idx in groups.values()]
-    zs, memos = [None] * len(cfgs), []
-    for idx, run in runs:
-        first, slots = run.greedy(np.arange(len(idx)), run.cfg.w_g)
-        for i, z in zip(idx, first):
-            zs[i] = z
-        memos.append(slots)
+    if not cfgs:
+        return []
+    run = _Lockstep(surrogate, m, xs, cfgs)
+    zs, slots = run.greedy(run.cfg.w_g)
     results = [_exposure(r, cfg.target, k) for r, cfg in zip(bb.query_batch(zs), cfgs)]
-    refined = [False] * len(cfgs)
-    if refine:
-        for (idx, run), slots in zip(runs, memos):
-            miss = [j for j, i in enumerate(idx) if not results[i].hit]
-            if miss:
-                second, _ = run.greedy(np.array(miss), min(1.0, run.cfg.w_g + 0.2), slots)
-                for j, z in zip(miss, second):
-                    zs[idx[j]], refined[idx[j]] = z, True
-        again = [i for i, r in enumerate(refined) if r]
-        if again:
-            for i, r in zip(again, bb.query_batch([zs[i] for i in again])):
-                results[i] = _exposure(r, cfgs[i].target, k)
-    infos = [None] * len(cfgs)
-    for idx, run in runs:
-        for i, info in zip(idx, run.infos([zs[i] for i in idx])):
-            infos[i] = info
-    return list(zip(zs, results, refined, infos))
+    refined = [bool(refine) and not res.hit for res in results]
+    again = [r for r, retried in enumerate(refined) if retried]
+    for r in again:
+        zs[r] = run.retry(r, min(1.0, run.cfg.w_g + 0.2), slots)
+    if again:
+        for r, ranked in zip(again, bb.query_batch([zs[r] for r in again])):
+            results[r] = _exposure(ranked, cfgs[r].target, k)
+    return list(zip(zs, results, refined, run.infos(zs)))
 
 
 def attack_user(

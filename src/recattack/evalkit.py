@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .corpus import CoMatrix, corel
+
+
+def _in_order_sum(values) -> float:
+    """Left-to-right float sum; the builtin sum compensates from Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _check_k(k: int, *ranked) -> None:
@@ -41,4 +48,4 @@ def plausibility_score(z, m: CoMatrix, kind: str = "jaccard") -> float:
     if len(seq) < 2:
         raise ValueError("sequence must have at least two items")
     vals = [corel(m, a, b, kind) for a, b in zip(seq, seq[1:])]
-    return float(sum(vals) / len(vals))
+    return _in_order_sum(vals) / len(vals)

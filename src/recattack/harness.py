@@ -15,11 +15,11 @@ querying stage's oracle starts from what the earlier stages' records spent,
 and the report's budget is the sum over all records, so a run split over
 several invocations spends and reports what the one-shot run does. The
 budget is the attacker's: the attack stage pollutes all its (user, target)
-pairs in one attack_users call, which advances them in lockstep, and
-charges only its validations, one per pair plus one per refine retry, made
-as two batched queries. It measures every arm
-(the original profiles, the polluted ones and both baselines) on the victim
-directly, one batched ranking per arm, and charges nothing for it.
+pairs in one attack_users call, which advances their first passes in
+lockstep, and charges only its validations, one per pair plus one per refine
+retry, made as two batched queries. It measures every arm (the original
+profiles, the polluted ones and both baselines) on the victim directly, one
+batched ranking per arm, and charges nothing for it.
 
 Both studies are tables of arms run by `_run_arms`: an arm is a label, a
 sub-directory and dotted-key overrides of the parent config, and a repeated
@@ -39,7 +39,6 @@ import hashlib
 import json
 import logging
 import math
-import operator
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
@@ -59,7 +58,7 @@ from .corpus import (
 )
 from .distill import distill_train
 from .errors import ConfigError, StageError
-from .evalkit import agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
+from .evalkit import _in_order_sum, agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
 from .oracle import BlackBox, load_queryset, save_queryset
 from .recmodel import init_params, load_params, recommend_topk_batch, save_params, train
 from .synthetic import gen_synthetic_corpus
@@ -319,11 +318,6 @@ def _stage_distill(ctx: _Context) -> dict:
     for key, val in baseline.items():
         metrics[f"untrained_{key}"] = val
     return metrics
-
-
-def _in_order_sum(values) -> float:
-    """Left-to-right float sum; the builtin sum compensates from Python 3.12."""
-    return functools.reduce(operator.add, values, 0.0)
 
 
 def _exposure(victim, seqs, targets, k: int):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from recattack.corpus import InteractionCorpus, build_comatrix
+from recattack import evalkit
+from recattack.corpus import InteractionCorpus, build_comatrix, corel
 from recattack.evalkit import (
     agreement_at_k,
     ndcg_at_k,
@@ -89,6 +90,28 @@ def test_plausibility_extremes_and_mean():
     m = build_comatrix(corpus, window=1)
     assert plausibility_score([0, 1, 0], m) == 1.0
     assert plausibility_score([0, 2], m) == 0.0
+
+
+def left_to_right_mean(vals):
+    total = 0.0
+    for v in vals:
+        total += v
+    return total / len(vals)
+
+
+def test_plausibility_is_the_left_to_right_mean_of_corel(monkeypatch):
+    rng = np.random.default_rng(0)
+    seqs = tuple(tuple(int(i) for i in rng.integers(0, 12, size=8)) for _ in range(10))
+    m = build_comatrix(InteractionCorpus(tuple(map(str, range(10))), seqs, 12), window=2)
+    for kind in ("jaccard", "ppmi"):
+        z = [int(i) for i in rng.integers(0, 12, size=15)]
+        want = left_to_right_mean([corel(m, a, b, kind) for a, b in zip(z, z[1:])])
+        assert plausibility_score(z, m, kind) == want
+    # the builtin sum compensates from Python 3.12: sum([0.1] * 10) is 1.0
+    # there and 0.9999999999999999 before, so it would tie the score to the
+    # interpreter
+    monkeypatch.setattr(evalkit, "corel", lambda m, a, b, kind: 0.1)
+    assert plausibility_score(list(range(11)), m) == left_to_right_mean([0.1] * 10) < 0.1
 
 
 def test_plausibility_frozen_mean():

@@ -1,6 +1,7 @@
 """attack_users advances many (user, target) pairs in lockstep; each pair must
 get what the one-pair greedy loop gives it, bit for bit."""
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,9 +109,9 @@ def ref_attack_user(p, m, bb, x, cfg, k, refine=True):
 # ----------------------------------------------------------- the equivalence
 
 
-def random_pairs(rng, v, n_pairs, shared_knobs):
-    """Profiles and cfgs: few distinct targets, some repeated pairs, lengths
-    that leave the active set a pair at a time."""
+def random_pairs(rng, v, n_pairs):
+    """Profiles and cfgs with one knob set: few distinct targets, some
+    repeated pairs, lengths that leave the active set a pair at a time."""
     knobs = dict(
         epsilon=float(rng.choice([0.0, 0.05, 0.3])),
         n_candidates=int(rng.integers(1, 5)),
@@ -127,10 +128,9 @@ def random_pairs(rng, v, n_pairs, shared_knobs):
             cfgs.append(cfgs[j])
             continue
         x = [int(i) for i in rng.integers(0, v, size=int(rng.integers(0, 6)))]
-        own = knobs if shared_knobs else {**knobs, "w_g": float(rng.choice([0.0, 0.5, 1.0]))}
         total = len(x) + int(rng.integers(0 if x else 1, 5))
         xs.append(x)
-        cfgs.append(AttackConfig(target=int(rng.choice(targets)), total_length=total, **own))
+        cfgs.append(AttackConfig(target=int(rng.choice(targets)), total_length=total, **knobs))
     return xs, cfgs
 
 
@@ -140,17 +140,16 @@ def random_pairs(rng, v, n_pairs, shared_knobs):
     v=st.integers(2, 30),
     n_pairs=st.integers(1, 9),
     zero_rows=st.integers(0, 3),
-    shared_knobs=st.booleans(),
     frozen=st.booleans(),
     refine=st.booleans(),
 )
-def test_attack_users_equals_the_one_pair_loop(seed, v, n_pairs, zero_rows, shared_knobs, frozen, refine):
+def test_attack_users_equals_the_one_pair_loop(seed, v, n_pairs, zero_rows, frozen, refine):
     rng = np.random.default_rng(seed)
     p = rand_params(rng, v=v, d=int(rng.integers(1, 9)))
     p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
     surrogate = p.freeze() if frozen else p
     m = toy_comatrix(rng, v)
-    xs, cfgs = random_pairs(rng, v, n_pairs, shared_knobs)
+    xs, cfgs = random_pairs(rng, v, n_pairs)
     # a victim ranking only its top 1 or 2 makes most pairs miss and retry
     victim = rand_params(rng, v=v, d=3)
     k = int(rng.integers(1, min(2, v) + 1))
@@ -181,7 +180,7 @@ def test_stacked_kernels_equal_the_one_pair_kernels_bit_for_bit(seed, v, d, n_pa
     p = rand_params(rng, v=v, d=d)
     p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
     m = toy_comatrix(rng, v, nseq=8, length=10)
-    xs, cfgs = random_pairs(rng, v, n_pairs, shared_knobs=True)
+    xs, cfgs = random_pairs(rng, v, n_pairs)
     run = _Lockstep(p, m, xs, cfgs)
     rows = np.arange(n_pairs)
     zs = {r: xs[r] for r in rows.tolist()}
@@ -220,12 +219,50 @@ def test_attack_users_across_many_score_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     surrogate = rand_params(rng, v=40, d=6).freeze()
     m = toy_comatrix(rng, 40, nseq=20, length=8)
-    xs, cfgs = random_pairs(rng, 40, 15, shared_knobs=True)
+    xs, cfgs = random_pairs(rng, 40, 15)
     victim = rand_params(rng, v=40, d=3)
     bb, ref_bb = BlackBox(victim, k=1), BlackBox(victim, k=1)
     want = [ref_attack_user(surrogate, m, ref_bb, x, cfg, 1) for x, cfg in zip(xs, cfgs)]
     assert attack_users(surrogate, m, bb, xs, cfgs, 1) == want
     assert bb.used == ref_bb.used
+
+
+def test_the_retry_at_the_first_weight_adds_no_probe_or_candidate_scoring(monkeypatch):
+    # at w_g = 1 the retry's weight is the first pass's, so each retried pair
+    # replays its first pass on that pass's records, stacked or one-pair
+    rng = np.random.default_rng(7)
+    surrogate = rand_params(rng, v=40, d=6).freeze()
+    m = toy_comatrix(rng, 40, nseq=20, length=8)
+    xs, cfgs = random_pairs(rng, 40, 12)
+    cfgs = [replace(cfg, w_g=1.0) for cfg in cfgs]
+    victim = rand_params(rng, v=40, d=3)
+    calls = Counter()
+    for name in ("_probe", "_appended_probabilities"):
+        real = getattr(attack, name)
+        monkeypatch.setattr(attack, name, lambda *a, _n=name, _f=real: calls.update([_n]) or _f(*a))
+    counts = []
+    for refine in (False, True):
+        calls.clear()
+        out = attack_users(surrogate, m, BlackBox(victim, k=1), xs, cfgs, 1, refine)
+        for x, cfg in zip(xs, cfgs):
+            attack_user(surrogate, m, BlackBox(victim, k=1), x, cfg, 1, refine)
+        counts.append(dict(calls))
+    assert sum(refined for _, _, refined, _ in out) >= 6
+    assert counts[0] == counts[1] and counts[0]["_probe"] > 0
+
+
+def test_attack_users_rejects_pairs_with_different_knobs():
+    rng = np.random.default_rng(8)
+    surrogate = rand_params(rng, v=10, d=4).freeze()
+    m = toy_comatrix(rng, 10)
+    bb = BlackBox(rand_params(rng, v=10, d=3), k=3)
+    good = AttackConfig(target=1, total_length=4)
+    other = dict(epsilon=0.2, n_candidates=2, neighbor_k=3, w_g=0.7, corel_kind="ppmi")
+    assert set(other) == set(attack._KNOBS)
+    for knob, value in other.items():
+        with pytest.raises(ValueError, match="one knob set"):
+            attack_users(surrogate, m, bb, [[0], [2]], [good, replace(good, **{knob: value})], 3)
+    assert bb.used == 0
 
 
 def test_attack_users_charges_one_query_per_validation():
