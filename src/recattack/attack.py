@@ -588,13 +588,13 @@ def attack_users(
         return []
     run = _Lockstep(surrogate, m, xs, cfgs)
     zs, slots = run.greedy(run.cfg.w_g)
-    results = [_exposure(r, cfg.target, k) for r, cfg in zip(bb.query_batch(zs), cfgs)]
+    results = [_exposure(r, cfg.target, k) for r, cfg in zip(bb.query_batch(zs).tolist(), cfgs)]
     refined = [bool(refine) and not res.hit for res in results]
     again = [r for r, retried in enumerate(refined) if retried]
     for r in again:
         zs[r] = run.retry(r, min(1.0, run.cfg.w_g + 0.2), slots)
     if again:
-        for r, ranked in zip(again, bb.query_batch([zs[r] for r in again])):
+        for r, ranked in zip(again, bb.query_batch([zs[r] for r in again]).tolist()):
             results[r] = _exposure(ranked, cfgs[r].target, k)
     return list(zip(zs, results, refined, run.infos(zs)))
 

@@ -235,6 +235,8 @@ def distill_train(
 ) -> RecommenderParams:
     """Train a surrogate on (sequence, ranking) pairs by mini-batch descent.
 
+    Reads the set's prefixes and its (n, k) ranking array as they are; the
+    set itself has rejected negative ids and rankings of unequal length.
     `init` fixes the surrogate architecture and starting point; with
     epochs=0 the returned parameters equal it. Negatives are resampled
     uniformly outside each pair's ranked list at every step. Deterministic
@@ -242,20 +244,13 @@ def distill_train(
     """
     if len(queries) == 0:
         raise ValueError("query set is empty")
-    klen = len(queries.pairs[0][1])
-    if any(len(r) != klen for _, r in queries.pairs):
-        raise ValueError("all rankings in the query set must share one length")
     v = init.num_items
-    p_b = cognitive_distribution(klen, cfg.alpha, cfg.tau_b)
-    pool = PrefixPool.of([p for p, _ in queries.pairs], v, init.gamma)
-    # int32 halves the largest array of the stage; an id past int32 cannot
-    # be below v either
-    try:
-        ranked = np.asarray([r for _, r in queries.pairs], dtype=np.int32)
-    except OverflowError:
-        ranked = None
-    if ranked is None or ranked.min() < 0 or ranked.max() >= v:
+    p_b = cognitive_distribution(queries.ranked.shape[1], cfg.alpha, cfg.tau_b)
+    if queries.ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
+    pool = PrefixPool.of(queries.prefixes, v, init.gamma)
+    # int32 halves the largest array of the stage
+    ranked = queries.ranked.astype(np.int32)
 
     def batch_grads(params, rows, rng, ws):
         r_idx = ranked[rows]

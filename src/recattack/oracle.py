@@ -3,12 +3,18 @@
 Consumers see only ordered top-k item ids, never scores or parameters. Every
 query is counted against the budget; a black box built with log_queries=True
 also keeps the (sequence, ranking) pairs, which drain_log returns.
+
+A QuerySet keeps its rankings as one (n, k) int64 array from the oracle to
+the surrogate: query_batch returns them that way, synthesis writes them into
+one, save_queryset gathers their text from it, and distill_train reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .recmodel import RecommenderParams, recommend_topk, recommend_topk_batch
@@ -18,15 +24,55 @@ class BudgetExhausted(RuntimeError):
     """The query budget is spent; the attacker must stop querying."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuerySet:
-    """Ordered (sequence, ranked top-k) pairs collected from a black box."""
+    """Ordered (sequence, ranked top-k) records collected from a black box.
 
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
+    Record i is the prefix prefixes[i] (a tuple of item ids) and the ranking
+    ranked[i], a row of one read-only (n, k) int64 array. A negative id, a
+    row count other than len(prefixes) or a ranked that is not 2-D raise
+    ValueError here, where the set is built.
+    """
+
+    prefixes: list[tuple[int, ...]]
+    ranked: np.ndarray
     truncated: bool = False
 
+    def __post_init__(self):
+        ranked = np.asarray(self.ranked, dtype=np.int64).view()
+        if ranked.ndim != 2:
+            raise ValueError("rankings must form one (n, k) array")
+        if ranked.shape[0] != len(self.prefixes):
+            raise ValueError(f"{ranked.shape[0]} rankings for {len(self.prefixes)} prefixes")
+        negative = min(map(min, filter(None, self.prefixes)), default=0) < 0
+        if negative or (ranked.size and ranked.min() < 0):
+            raise ValueError("negative item id in query set")
+        ranked.flags.writeable = False
+        object.__setattr__(self, "ranked", ranked)
+
+    @classmethod
+    def from_pairs(cls, pairs, truncated: bool = False) -> "QuerySet":
+        """The set of (prefix, ranking) pairs; rankings of different lengths
+        raise ValueError."""
+        prefixes = [tuple(p) for p, _ in pairs]
+        rankings = [r for _, r in pairs]
+        if len(set(map(len, rankings))) > 1:
+            raise ValueError("all rankings in a query set must share one length")
+        k = len(rankings[0]) if rankings else 0
+        try:
+            ranked = np.array(rankings, dtype=np.int64).reshape(len(rankings), k)
+        except OverflowError:
+            raise ValueError("item id outside int64 in query set") from None
+        return cls(prefixes, ranked, truncated)
+
+    @property
+    def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(prefix, ranking) tuples, as a new list built on every access:
+        read it once, since indexing qs.pairs[i] in a loop is quadratic."""
+        return list(zip(self.prefixes, map(tuple, self.ranked.tolist())))
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.prefixes)
 
 
 class _Labels(dict):
@@ -37,22 +83,46 @@ class _Labels(dict):
         return text
 
 
+# records whose text save_queryset builds and writes at once; at k = 100 a
+# block's gathered texts stay near half a megabyte, and larger blocks were slower
+SAVE_BLOCK = 256
+
+
+def _id_table(ranked: np.ndarray):
+    """Object array of str(i) for i in range(ranked.max() + 1), or None when
+    that table would be longer than ranked itself: a few large ids must not
+    size it."""
+    top = int(ranked.max()) if ranked.size else -1
+    if top >= ranked.size:
+        return None
+    return np.array([str(i) for i in range(top + 1)], dtype=object)
+
+
 def save_queryset(qs: QuerySet, path) -> None:
     """Line-delimited export: prefix ids, tab, ranked ids.
 
-    Lines are written as they are built, so the text of a large set is never
-    held whole. An empty untruncated set is one empty line.
+    Lines are written SAVE_BLOCK records at a time, so the text of a large
+    set is never held whole. A block's ranking texts are gathered from the
+    id table in one indexing step when there is one. An empty untruncated
+    set is one empty line.
     """
     label = _Labels().__getitem__
+    table = _id_table(qs.ranked)
     with open(path, "w", encoding="utf-8") as fh:
         if qs.truncated:
             fh.write("# truncated\n")
-        elif not qs.pairs:
+        elif not len(qs):
             fh.write("\n")
-        fh.writelines(
-            " ".join(map(label, prefix)) + "\t" + " ".join(map(label, ranked)) + "\n"
-            for prefix, ranked in qs.pairs
-        )
+        for start in range(0, len(qs), SAVE_BLOCK):
+            block = qs.ranked[start : start + SAVE_BLOCK]
+            if table is None:
+                texts = [map(label, r) for r in block.tolist()]
+            else:
+                texts = table[block].tolist()
+            fh.writelines(
+                " ".join(map(label, prefix)) + "\t" + " ".join(ranking) + "\n"
+                for prefix, ranking in zip(qs.prefixes[start : start + SAVE_BLOCK], texts)
+            )
 
 
 def load_queryset(path) -> QuerySet:
@@ -82,7 +152,7 @@ def load_queryset(path) -> QuerySet:
         elif len(ranked) != len(pairs[0][1]):
             raise ValueError(f"{path}: ranking length differs from line {first} on line {lineno}")
         pairs.append((prefix, ranked))
-    return QuerySet(pairs=pairs, truncated=truncated)
+    return QuerySet.from_pairs(pairs, truncated)
 
 
 class BlackBox:
@@ -140,8 +210,9 @@ class BlackBox:
             self._log.append((tuple(int(i) for i in x), ranked))
         return ranked
 
-    def query_batch(self, prefixes) -> list[tuple[int, ...]]:
-        """query(x) of every prefix, one charge per row, in one ranking call.
+    def query_batch(self, prefixes) -> np.ndarray:
+        """query(x) of every prefix as the rows of one (n, k) int64 array,
+        one charge per row, in one ranking call.
 
         `prefixes` is a list of sequences or a 2-D array of equal-length ones.
         When the rows exceed the remaining budget, BudgetExhausted is raised
@@ -150,16 +221,15 @@ class BlackBox:
         n = len(prefixes)
         self._check_budget(n)
         top = recommend_topk_batch(self._victim, prefixes, self.k)
-        ranked = list(map(tuple, top.tolist()))
         self._used += n
         if self.log_queries:
             self._log.extend(
-                (tuple(int(i) for i in x), r) for x, r in zip(prefixes, ranked)
+                (tuple(int(i) for i in x), r) for x, r in zip(prefixes, map(tuple, top.tolist()))
             )
-        return ranked
+        return top
 
     def drain_log(self) -> QuerySet:
         """All logged (sequence, ranking) pairs in issue order; log is kept."""
         if not self.log_queries:
             raise ConfigError("query logging is disabled on this black box")
-        return QuerySet(pairs=list(self._log))
+        return QuerySet.from_pairs(self._log)

@@ -68,11 +68,12 @@ def generate_sequences(
     count * (maxlen - 1) queries, only the first `remaining` pairs in that
     order are queried and the set is flagged truncated.
 
-    The sequences advance together, one batched query per step. Every
-    response has length k, so no draw depends on the oracle's answer: the
-    seed item and the positions are drawn up front, sequence by sequence,
-    from the same stream as rng.integers(V) followed by maxlen - 1 scalar
-    rng.choice(k, p=w) draws.
+    The sequences advance together, one batched query per step, and step
+    t's (active, k) answer fills rows t, t + steps, ... of the set's one
+    preallocated (queried, k) ranking array. Every response has length k, so
+    no draw depends on the oracle's answer: the seed item and the positions
+    are drawn up front, sequence by sequence, from the same stream as
+    rng.integers(V) followed by maxlen - 1 scalar rng.choice(k, p=w) draws.
     """
     if maxlen < 2:
         raise ValueError("maxlen must be >= 2")
@@ -92,11 +93,13 @@ def generate_sequences(
     queried = total if bb.remaining is None else min(total, bb.remaining)
     # pair (i, t) is number i * steps + t; step t queries the sequences whose
     # pair falls before the cut, always a leading run of them
-    pairs: list = [None] * queried
+    prefixes: list = [None] * queried
+    ranked = np.empty((queried, bb.k), dtype=np.int64)
     for t in range(min(steps, queried)):
         active = len(range(t, queried, steps))
-        prefixes = seqs[:active, : t + 1]
-        ranked = bb.query_batch(prefixes)
-        seqs[:active, t + 1] = [r[j] for r, j in zip(ranked, picks[:active, t].tolist())]
-        pairs[t::steps] = list(zip(map(tuple, prefixes.tolist()), ranked))
-    return QuerySet(pairs=pairs, truncated=queried < total)
+        rows = seqs[:active, : t + 1]
+        top = bb.query_batch(rows)
+        prefixes[t::steps] = map(tuple, rows.tolist())
+        ranked[t::steps] = top
+        seqs[:active, t + 1] = top[np.arange(active), picks[:active, t]]
+    return QuerySet(prefixes, ranked, truncated=queried < total)

@@ -1,8 +1,11 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recattack import oracle
 from recattack.errors import ConfigError
 from recattack.oracle import (
     BlackBox,
@@ -60,11 +63,12 @@ def test_query_batch_charges_per_row_and_matches_query():
     bb = BlackBox(vic, k=5, budget=6, log_queries=True)
     prefixes = [[1, 2], [3], [0, 4, 5]]
     got = bb.query_batch(prefixes)
-    assert got == [tuple(recommend_topk(vic, x, 5)) for x in prefixes]
+    assert got.dtype == np.int64 and got.shape == (3, 5)
+    assert got.tolist() == [recommend_topk(vic, x, 5) for x in prefixes]
     assert bb.used == 3
-    assert bb.drain_log().pairs == [(tuple(x), r) for x, r in zip(prefixes, got)]
+    assert bb.drain_log().pairs == [(tuple(x), tuple(r)) for x, r in zip(prefixes, got.tolist())]
     grid = np.array([[1, 2], [7, 7]])
-    assert bb.query_batch(grid) == [tuple(recommend_topk(vic, x, 5)) for x in grid]
+    assert bb.query_batch(grid).tolist() == [recommend_topk(vic, x, 5) for x in grid]
     assert bb.used == 5
 
 
@@ -76,7 +80,26 @@ def test_query_batch_past_budget_charges_nothing():
     assert bb.used == 1 and len(bb.drain_log()) == 1
     assert len(bb.query_batch([[1], [2], [3]])) == 3
     assert bb.remaining == 0
-    assert bb.query_batch([]) == []
+    empty = bb.query_batch([])
+    assert empty.dtype == np.int64 and empty.shape == (0, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    v=st.integers(1, 12),
+    seed=st.integers(0, 99),
+    prefixes=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=5), max_size=6),
+    data=st.data(),
+)
+def test_query_batch_rows_equal_query(v, seed, prefixes, data):
+    vic = victim(v=v, seed=seed)
+    prefixes = [[i % v for i in x] for x in prefixes]
+    k = data.draw(st.integers(1, v))
+    batched, single = BlackBox(vic, k=k), BlackBox(vic, k=k)
+    got = batched.query_batch(prefixes)
+    assert got.dtype == np.int64 and got.shape == (len(prefixes), k)
+    assert [tuple(r) for r in got.tolist()] == [single.query(x) for x in prefixes]
+    assert batched.used == single.used == len(prefixes)
 
 
 def test_log_drain_order_and_idempotence():
@@ -103,7 +126,7 @@ def test_drain_without_logging_is_config_error():
 
 
 def test_queryset_save_load_roundtrip(tmp_path):
-    qs = QuerySet(pairs=[((1, 2), (3, 4, 5)), ((6,), (7, 8, 9))], truncated=True)
+    qs = QuerySet.from_pairs([((1, 2), (3, 4, 5)), ((6,), (7, 8, 9))], truncated=True)
     path = tmp_path / "q.tsv"
     save_queryset(qs, path)
     back = load_queryset(path)
@@ -112,14 +135,89 @@ def test_queryset_save_load_roundtrip(tmp_path):
 
 
 def test_save_queryset_text_matches_plain_join(tmp_path):
-    pairs = [((1, 2), (3, 10**12)), ((np.int64(2),), (1, np.int64(3), 2)), ((0, -4), (-4, 0))]
+    pairs = [((1, 2), (3, 10**12, 0)), ((np.int64(2),), (1, np.int64(3), 2)), ((0, 4), (4, 0, 7))]
     path = tmp_path / "q.tsv"
-    save_queryset(QuerySet(pairs=pairs, truncated=True), path)
+    save_queryset(QuerySet.from_pairs(pairs, truncated=True), path)
     want = ["# truncated"] + [
         " ".join(str(int(i)) for i in p) + "\t" + " ".join(str(int(i)) for i in r)
         for p, r in pairs
     ]
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_queryset_holds_one_read_only_ranking_array():
+    qs = QuerySet.from_pairs([((1, 2), (3, 4)), ((), (5, 6)), ((7,), (8, 9))])
+    assert qs.ranked.dtype == np.int64 and qs.ranked.shape == (3, 2)
+    assert not qs.ranked.flags.writeable
+    assert qs.prefixes == [(1, 2), (), (7,)]
+    assert qs.pairs == [((1, 2), (3, 4)), ((), (5, 6)), ((7,), (8, 9))]
+    assert qs.pairs is not qs.pairs  # built anew on every access
+    empty = QuerySet.from_pairs([])
+    assert len(empty) == 0 and empty.ranked.shape == (0, 0) and not empty.truncated
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((0, -4), (4, 0))]),
+    lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((3,), (-4, 0))]),
+    lambda: QuerySet([(3,)], np.array([[0, -(2**40)]])),
+    lambda: QuerySet.from_pairs([((1,), (0, 1)), ((2,), (0,))]),
+    lambda: QuerySet.from_pairs([((1,), (0,)), ((2,), (0, 1))]),
+    lambda: QuerySet([(1,), (2,)], np.zeros((1, 3), dtype=np.int64)),
+    lambda: QuerySet([(1,)], np.zeros((2, 3), dtype=np.int64)),
+    lambda: QuerySet([(1,)], np.zeros(3, dtype=np.int64)),
+    lambda: QuerySet([(1,)], np.zeros((1, 3, 1), dtype=np.int64)),
+    lambda: QuerySet.from_pairs([((1,), (2**63, 0))]),
+], ids=["negative_prefix_id", "negative_ranked_id", "negative_id_in_array", "ragged_shorter",
+        "ragged_longer", "fewer_rows", "more_rows", "one_dimensional", "three_dimensional",
+        "id_past_int64"])
+def test_queryset_rejects_bad_records_where_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_id_table_is_used_only_while_no_larger_than_the_rankings():
+    # 3 x 2 ranked ids: a table over range(6) fits, one over range(7) does not
+    fits = np.array([[0, 1], [2, 3], [4, 5]])
+    table = oracle._id_table(fits)
+    assert table.dtype == object and table.tolist() == ["0", "1", "2", "3", "4", "5"]
+    assert oracle._id_table(np.array([[0, 1], [2, 3], [4, 6]])) is None
+    assert oracle._id_table(np.array([[10**12]])) is None
+    assert oracle._id_table(np.zeros((0, 4), dtype=np.int64)).size == 0
+
+
+def plain_join_writer(pairs, truncated: bool) -> str:
+    """The per-pair writer save_queryset replaced: one " ".join per record."""
+    head = "# truncated\n" if truncated else ("" if pairs else "\n")
+    return head + "".join(
+        " ".join(str(i) for i in p) + "\t" + " ".join(str(i) for i in r) + "\n" for p, r in pairs
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    digits=st.integers(1, 13),
+    k=st.integers(1, 4),
+    truncated=st.booleans(),
+    block=st.integers(1, 4),
+    data=st.data(),
+)
+def test_save_queryset_writes_the_plain_join_bytes(tmp_path_factory, digits, k, truncated, block,
+                                                   data):
+    ids = st.integers(0, 10**digits - 1)
+    pairs = data.draw(st.lists(
+        st.tuples(st.lists(ids, max_size=4).map(tuple),
+                  st.lists(ids, min_size=k, max_size=k, unique=True).map(tuple)),
+        max_size=3 * block + 1,
+    ))
+    qs = QuerySet.from_pairs(pairs, truncated)
+    path = tmp_path_factory.mktemp("q") / "q.tsv"
+    with mock.patch.object(oracle, "SAVE_BLOCK", block):
+        save_queryset(qs, path)
+    assert path.read_text() == plain_join_writer(pairs, truncated)
+    back = load_queryset(path)
+    assert back.prefixes == qs.prefixes and back.truncated == truncated
+    assert back.ranked.shape == qs.ranked.shape
+    assert back.ranked.tobytes() == qs.ranked.tobytes()
 
 
 @pytest.mark.parametrize("text, message", [

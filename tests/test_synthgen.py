@@ -124,11 +124,11 @@ def sequential_reference(bb, policy, count, maxlen, seed):
             try:
                 ranked = bb.query(seq)
             except BudgetExhausted:
-                return QuerySet(pairs=pairs, truncated=True)
+                return QuerySet.from_pairs(pairs, truncated=True)
             pairs.append((tuple(seq), ranked))
             w = policy.position_weights(len(ranked))
             seq.append(int(ranked[rng.choice(len(ranked), p=w)]))
-    return QuerySet(pairs=pairs, truncated=False)
+    return QuerySet.from_pairs(pairs, truncated=False)
 
 
 policies = st.one_of(
@@ -163,6 +163,8 @@ def test_lockstep_equals_sequential_reference(policy, v, ties, count, maxlen, se
     got = generate_sequences(fast, policy, count, maxlen, seed)
     want = sequential_reference(slow, policy, count, maxlen, seed)
     assert got.pairs == want.pairs
+    assert got.prefixes == want.prefixes
+    assert got.ranked.dtype == np.int64 and got.ranked.shape == (len(got), k)
     assert got.truncated == want.truncated
     assert fast.used == slow.used == len(got)
 

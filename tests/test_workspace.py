@@ -111,9 +111,10 @@ def ref_train(params, seqs, cfg):
 
 def ref_distill_train(queries, cfg, init):
     v = init.num_items
-    ranked = np.asarray([r for _, r in queries.pairs], dtype=np.int32)
+    pairs = queries.pairs
+    ranked = np.asarray([r for _, r in pairs], dtype=np.int32)
     p_b = cognitive_distribution(ranked.shape[1], cfg.alpha, cfg.tau_b)
-    pool = PrefixPool.of([p for p, _ in queries.pairs], v, init.gamma)
+    pool = PrefixPool.of([p for p, _ in pairs], v, init.gamma)
 
     def batch_grads(params, rows, rng):
         r_idx = ranked[rows]
@@ -164,7 +165,7 @@ def test_distill_train_gives_the_allocating_kernels_bytes(data):
                   st.permutations(range(v)).map(lambda p: tuple(p[:k]))),
         min_size=1, max_size=8,
     ))
-    queries = QuerySet([(tuple(x), r) for x, r in pairs])
+    queries = QuerySet.from_pairs([(tuple(x), r) for x, r in pairs])
     init = init_params(v, data.draw(st.integers(1, 4)), data.draw(st.floats(0.05, 1.0)),
                        seed=data.draw(st.integers(0, 9)))
     cfg = DistillConfig(
@@ -208,7 +209,7 @@ def test_successive_batches_write_into_the_same_memory(monkeypatch):
     recording(distill, "_distill_step", 2)
     split = _catalog_split(60, 30)
     victim = recmodel.train(init_params(60, 4, seed=1), split, TrainConfig(batch_size=16))
-    queries = QuerySet([(s[:-1], tuple(range(5))) for s in split.train])
+    queries = QuerySet.from_pairs([(s[:-1], tuple(range(5))) for s in split.train])
     distill.distill_train(queries, DistillConfig(train=TrainConfig(batch_size=8)), victim.copy())
     for batches in seen.values():
         assert len(batches) > 2
