@@ -13,7 +13,7 @@ the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +38,17 @@ COSINE_NORM_FLOOR = 1e-12
 
 
 @dataclass
-class AttackConfig:
-    """Pollution hyperparameters; w_g in [0, 1] weighs the gradient signal
-    and 1 - w_g the collaborative one. This is the one check of the pollution
-    knobs: config.AttackStageConfig runs it too."""
+class PollutionKnobs:
+    """The pollution hyperparameters and their one check; w_g in [0, 1]
+    weighs the gradient signal and 1 - w_g the collaborative one.
+    AttackConfig and config.AttackStageConfig are these knobs plus their own
+    fields."""
 
-    target: int
-    total_length: int
     epsilon: float = 0.1
     n_candidates: int = 5
     neighbor_k: int = 20
     w_g: float = 0.5
     corel_kind: str = "jaccard"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.epsilon < math.inf:  # NaN fails too
@@ -63,8 +61,15 @@ class AttackConfig:
             raise ValueError(f"unknown corel kind {self.corel_kind!r}")
 
 
-# the fields of an AttackConfig that every cfg of one attack_users call shares
-_KNOBS = tuple(f.name for f in fields(AttackConfig) if f.name not in ("target", "total_length", "seed"))
+@dataclass
+class AttackConfig(PollutionKnobs):
+    """One pair's pollution: the knobs, its target and total length, and the
+    seed a caller may keep beside them (nothing here reads it)."""
+
+    _: KW_ONLY
+    target: int
+    total_length: int
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ class _Slot:
 
 
 class _Lockstep:
-    """Greedy pollution of many (profile, cfg) pairs with one knob set: the
-    cfgs may differ only in target, total_length and seed. greedy runs every
+    """Greedy pollution of many (profile, target, total_length) triples under
+    one knob set, so only those three differ between pairs. greedy runs every
     pair's first pass together: each step makes the probes, cohorts,
     shortlists and candidate scores of every pair still short of its
     total_length in stacked kernels, each row of which equals the one-pair
@@ -246,25 +251,23 @@ class _Lockstep:
     Arrays of V columns are made a block of about SCORE_BLOCK scores at a
     time (n_candidates times that for the candidate scores)."""
 
-    def __init__(self, surrogate: RecommenderParams, m: CoMatrix, xs, cfgs):
-        self.s, self.cfg = surrogate, cfgs[0]
-        if any(getattr(c, f) != getattr(self.cfg, f) for c in cfgs for f in _KNOBS):
-            raise ValueError("one knob set per call: cfgs may differ only in target, total_length and seed")
+    def __init__(self, surrogate: RecommenderParams, m: CoMatrix, knobs: PollutionKnobs, pairs):
+        self.s, self.knobs = surrogate, knobs
         if surrogate.num_items < 2:
             raise ValueError("pollution needs a catalog of at least two items")
-        self.xs = [[int(i) for i in x] for x in xs]
-        targets = [int(c.target) for c in cfgs]
+        self.xs = [[int(i) for i in x] for x, _, _ in pairs]
+        targets = [int(t) for _, t, _ in pairs]
         for t in targets:
             _check_target(t, surrogate.num_items)
-        steps = [c.total_length - len(x) for c, x in zip(cfgs, self.xs)]
+        steps = [total - len(x) for x, (_, _, total) in zip(self.xs, pairs)]
         if min(steps) < 0:
             raise ValueError("input already longer than the requested total length")
         self.t, self.steps = np.array(targets), np.array(steps)
         # each target's relatedness row and neighbors, once per target
         index: dict[int, int] = {}
         self.inv = np.array([index.setdefault(t, len(index)) for t in targets])
-        self.rel = [corel_row(m, t, self.cfg.corel_kind) for t in index]
-        self.neighbors = [topk_ids(row, self.cfg.neighbor_k, skip=t) for row, t in zip(self.rel, index)]
+        self.rel = [corel_row(m, t, knobs.corel_kind) for t in index]
+        self.neighbors = [topk_ids(row, knobs.neighbor_k, skip=t) for row, t in zip(self.rel, index)]
         self.table = _cosine_table(surrogate)
         # most steps first, so the pairs still short after j steps lead the
         # order; rank[r] is pair r's row in every slot of the first pass
@@ -303,7 +306,7 @@ class _Lockstep:
             probs[np.arange(block.size), tb] -= 1.0
             w_last = position_weights(self.s.gamma, len(seqs[block[0]]))[-1]
             gpos = w_last * np.matmul(probs[:, None, :], emb)[:, 0]
-            probes[block] = emb[tb] - self.cfg.epsilon * np.sign(gpos)
+            probes[block] = emb[tb] - self.knobs.epsilon * np.sign(gpos)
         # _CosineTable.cosines, a row per probe; np.linalg.norm is sqrt(dot)
         pnorm = np.sqrt(np.matmul(probes[:, None, :], probes[:, :, None])[:, 0, 0])
         sims = np.zeros((rows.size, table.ok.size))
@@ -316,7 +319,7 @@ class _Lockstep:
         """Each row's cohort on the prefix zs[r] (_cohort), its cosines, and
         its min-max relatedness (_minmax), stacked; cohorts shorter than the
         longest are padded with id 0."""
-        k, v = self.cfg.neighbor_k, self.s.num_items
+        k, v = self.knobs.neighbor_k, self.s.num_items
         t, inv = self.t[rows], self.inv[rows]
         step = max(1, SCORE_BLOCK // v)
         blocks = [(b, self._cosines(rows[b : b + step], zs)) for b in range(0, rows.size, step)]
@@ -372,16 +375,16 @@ class _Lockstep:
         A step of one pair costs less this way than through the stacked
         kernels: sending the one-pair steps of the pollute benchmark through
         them took its run_s from 0.40-0.45 s to 0.70-0.77 s."""
-        cfg, t, i = self.cfg, int(self.t[r]), int(self.inv[r])
+        knobs, t, i = self.knobs, int(self.t[r]), int(self.inv[r])
         if old is None:
-            sims = self.table.cosines(_probe(self.s, z + [t], t, cfg.epsilon))
-            items = _cohort(self.neighbors[i], sims, t, cfg.neighbor_k)
+            sims = self.table.cosines(_probe(self.s, z + [t], t, knobs.epsilon))
+            items = _cohort(self.neighbors[i], sims, t, knobs.neighbor_k)
             sim, stil = sims[items], _minmax(self.rel[i][items])
         else:
             q = self.rank[r]
             size = old.size[q]
             items, sim, stil = old.items[q, :size], old.sim[q, :size], old.stil[q, :size]
-        top = topk_ids(fuse(sim, stil, w_g), cfg.n_candidates)
+        top = topk_ids(fuse(sim, stil, w_g), knobs.n_candidates)
         cand, cstil = items[top], stil[top]
         ids, probs = cand.tolist(), None
         if old is not None:
@@ -399,7 +402,7 @@ class _Lockstep:
         """Every pair's first pass at fusion weight w_g; returns the
         sequences and each step's _Slot, whose row rank[r] is pair r's. A
         step with one pair still active goes through step_one."""
-        n = self.cfg.n_candidates
+        n = self.knobs.n_candidates
         zs = [list(x) for x in self.xs]
         neg = -self.steps[self.order]
         live = np.searchsorted(neg, -np.arange(-neg.min(initial=0)))  # pairs active at step j
@@ -458,7 +461,7 @@ def pollute_detailed(surrogate: RecommenderParams, m: CoMatrix, x, cfg: AttackCo
     cohort_filter and collab_signal are the same computations for a single
     step.
     """
-    run = _Lockstep(surrogate, m, [x], [cfg])
+    run = _Lockstep(surrogate, m, cfg, [(x, cfg.target, cfg.total_length)])
     zs, _ = run.greedy(cfg.w_g)
     return zs[0], run.infos(zs)[0]
 
@@ -518,6 +521,9 @@ def save_polluted_sequences(rows, path) -> None:
 
 
 def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
+    """The (user, sequence) records of a save_polluted_sequences file; a
+    malformed or empty record, or a negative id, raises ValueError naming the
+    file and line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -527,7 +533,9 @@ def load_polluted_sequences(path) -> list[tuple[str, list[int]]]:
             seq = [int(t) for t in items.split()]
         except ValueError:
             raise ValueError(f"{path}: malformed polluted record on line {lineno}") from None
-        if min(seq, default=0) < 0:
+        if not seq:
+            raise ValueError(f"{path}: empty polluted sequence on line {lineno}")
+        if min(seq) < 0:
             raise ValueError(f"{path}: negative item id on line {lineno}")
         rows.append((user, seq))
     return rows
@@ -561,17 +569,17 @@ def attack_users(
     surrogate: RecommenderParams,
     m: CoMatrix,
     bb: BlackBox,
-    xs,
-    cfgs,
+    knobs: PollutionKnobs,
+    pairs,
     k: int,
     refine: bool = True,
 ):
-    """Pollute every profile xs[i] for cfgs[i] and validate on the black box;
-    returns one (z, ExposureResult, refined, PolluteInfo) per pair.
+    """Pollute every (profile, target, total_length) triple of `pairs` under
+    the one knob set `knobs` and validate on the black box; returns one
+    (z, ExposureResult, refined, PolluteInfo) per pair.
 
-    One knob set per call: cfgs that differ in more than target,
-    total_length and seed raise ValueError before any query. The first
-    passes advance together (_Lockstep.greedy) and are validated in one
+    Every pair's target is checked before any query. The first passes
+    advance together (_Lockstep.greedy) and are validated in one
     query_batch. With `refine`, each pair that misses the top-k is retried
     with the gradient weight raised by 0.2 (clamped to 1), replayed one pair
     at a time over its first pass's records (_Lockstep.retry), and the
@@ -579,23 +587,22 @@ def attack_users(
     the retry's outcome either way. Each pair gets what pollute_detailed and
     validate give it alone, bit for bit, and one charge per validation.
     """
-    if len(xs) != len(cfgs):
-        raise ValueError("attack_users needs one cfg per profile")
-    for cfg in cfgs:
-        _check_target(cfg.target, bb.num_items)
+    targets = [t for _, t, _ in pairs]
+    for t in targets:
+        _check_target(t, bb.num_items)
     _check_k(bb, k)
-    if not cfgs:
+    if not pairs:
         return []
-    run = _Lockstep(surrogate, m, xs, cfgs)
-    zs, slots = run.greedy(run.cfg.w_g)
-    results = [_exposure(r, cfg.target, k) for r, cfg in zip(bb.query_batch(zs).tolist(), cfgs)]
+    run = _Lockstep(surrogate, m, knobs, pairs)
+    zs, slots = run.greedy(knobs.w_g)
+    results = [_exposure(r, t, k) for r, t in zip(bb.query_batch(zs).tolist(), targets)]
     refined = [bool(refine) and not res.hit for res in results]
     again = [r for r, retried in enumerate(refined) if retried]
     for r in again:
-        zs[r] = run.retry(r, min(1.0, run.cfg.w_g + 0.2), slots)
+        zs[r] = run.retry(r, min(1.0, knobs.w_g + 0.2), slots)
     if again:
         for r, ranked in zip(again, bb.query_batch([zs[r] for r in again]).tolist()):
-            results[r] = _exposure(ranked, cfgs[r].target, k)
+            results[r] = _exposure(ranked, targets[r], k)
     return list(zip(zs, results, refined, run.infos(zs)))
 
 
@@ -610,4 +617,4 @@ def attack_user(
 ):
     """Pollute one profile and validate on the black box: attack_users for
     one pair. Returns (z, ExposureResult, refined, PolluteInfo)."""
-    return attack_users(surrogate, m, bb, [x], [cfg], k, refine)[0]
+    return attack_users(surrogate, m, bb, cfg, [(x, cfg.target, cfg.total_length)], k, refine)[0]

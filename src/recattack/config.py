@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .attack import AttackConfig
+from .attack import PollutionKnobs
 from .corpus import CORPUS_FORMATS
 from .distill import DistillConfig
 from .errors import ConfigError
@@ -53,17 +53,17 @@ class OracleConfig:
             raise ValueError("budget must be >= 0 or auto")
 
 
-@dataclass
-class SynthesisConfig:
-    policy: str = "position_decay"
-    alpha: float = 0.9
-    tau: float = 1.0
+@dataclass(frozen=True)
+class SynthesisConfig(SamplerPolicy):
+    """The synthesis stage's sampler policy, with its own checks, and what
+    the stage draws under it."""
+
     count: int = 1000
     maxlen: int = 21
     seed: int = 0
 
     def __post_init__(self):
-        SamplerPolicy(self.policy, self.alpha, self.tau)  # its own policy checks
+        super().__post_init__()
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.maxlen < 2:
@@ -71,33 +71,24 @@ class SynthesisConfig:
 
 
 @dataclass
-class AttackStageConfig:
+class AttackStageConfig(PollutionKnobs):
+    """The attack stage's pollution knobs, with their own checks, and which
+    pairs it attacks and how it validates them."""
+
     num_users: int = 50
     num_targets: int = 5
     length_factor: float = 1.1
     eval_k: int = 10
-    epsilon: float = 0.1
-    n_candidates: int = 5
-    neighbor_k: int = 20
-    w_g: float = 0.5
-    corel_kind: str = "jaccard"
     refine: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        self.pollution(target=0, total_length=1, seed=0)  # AttackConfig's own knob checks
+        super().__post_init__()
         for name in ("num_users", "num_targets", "eval_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 < self.length_factor < math.inf:  # NaN fails too
             raise ValueError("length_factor must be > 0 and finite")
-
-    def pollution(self, target: int, total_length: int, seed: int) -> AttackConfig:
-        """One (user, target) pair's AttackConfig: every pollution knob it has
-        but the pair's own target, total_length and seed comes from here."""
-        knobs = {f.name: getattr(self, f.name) for f in fields(AttackConfig)
-                 if f.name not in ("target", "total_length", "seed")}
-        return AttackConfig(target=target, total_length=total_length, seed=seed, **knobs)
 
 
 @dataclass

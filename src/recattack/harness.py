@@ -15,11 +15,13 @@ querying stage's oracle starts from what the earlier stages' records spent,
 and the report's budget is the sum over all records, so a run split over
 several invocations spends and reports what the one-shot run does. The
 budget is the attacker's: the attack stage pollutes all its (user, target)
-pairs in one attack_users call, which advances their first passes in
-lockstep, and charges only its validations, one per pair plus one per refine
-retry, made as two batched queries. It measures every arm (the original
-profiles, the polluted ones and both baselines) on the victim directly, one
-batched ranking per arm, and charges nothing for it.
+pairs in one attack_users call, under the one knob set its config section
+is, which advances their first passes in lockstep, and charges only its
+validations, one per pair plus one per refine retry, made as two batched
+queries. It measures every arm (the original profiles, the polluted ones
+and both baselines) on the victim directly, each pair's exposure read as
+attack_users reads it from one batched ranking per arm, and charges nothing
+for it. The synthesis stage's config section is its sampler policy.
 
 Both studies are tables of arms run by `_run_arms`: an arm is a label, a
 sub-directory and dotted-key overrides of the parent config, and a repeated
@@ -62,7 +64,7 @@ from .evalkit import _in_order_sum, agreement_at_k, ndcg_at_k, plausibility_scor
 from .oracle import BlackBox, load_queryset, save_queryset
 from .recmodel import init_params, load_params, recommend_topk_batch, save_params, train
 from .synthetic import gen_synthetic_corpus
-from .synthgen import SamplerPolicy, generate_sequences
+from .synthgen import generate_sequences
 
 log = logging.getLogger(__name__)
 
@@ -290,10 +292,7 @@ def _stage_victim(ctx: _Context) -> dict:
 def _stage_synthesize(ctx: _Context) -> dict:
     cfg = ctx.cfg
     bb = _oracle(ctx, "synthesize")
-    policy = SamplerPolicy(kind=cfg.synth.policy, alpha=cfg.synth.alpha, tau=cfg.synth.tau)
-    queries = generate_sequences(
-        bb, policy, cfg.synth.count, cfg.synth.maxlen, cfg.synth.seed
-    )
+    queries = generate_sequences(bb, cfg.synth, cfg.synth.count, cfg.synth.maxlen, cfg.synth.seed)
     ctx.queries = queries
     save_queryset(queries, _out(cfg) / ARTIFACTS["queries"])
     return {
@@ -320,16 +319,6 @@ def _stage_distill(ctx: _Context) -> dict:
     return metrics
 
 
-def _exposure(victim, seqs, targets, k: int):
-    """Each target's exposure in the victim's top-k for its sequence, from one
-    batched ranking: (hit, rank, reciprocal rank) arrays, as atk.validate
-    reports them, with rank 0 and reciprocal rank 0.0 for a miss."""
-    match = recommend_topk_batch(victim, seqs, k) == np.asarray(targets)[:, None]
-    hit = match.any(axis=1)
-    rank = np.where(hit, match.argmax(axis=1) + 1, 0)
-    return hit, rank, np.divide(1.0, rank, out=np.zeros(rank.size), where=hit)
-
-
 # attack-stage arm -> the prefix of its exposure metrics
 _ARM_METRICS = {"original": "pre", "dual": "post", "rand": "rand_post", "sim": "sim_post"}
 
@@ -352,34 +341,30 @@ def _stage_attack(ctx: _Context) -> dict:
     )
 
     pairs = [(u, t) for t in targets for u in user_idx]
-    cfgs = []
+    triples, seeds = [], []  # each pair's (profile, target, total_length) and RandAlter seed
     for u, t in pairs:
         x = corpus.sequences[u]
-        total = max(len(x) + 1, math.ceil(ac.length_factor * len(x)))
-        cfgs.append(ac.pollution(t, total, int(rng.integers(2**31))))
-    attacked = atk.attack_users(
-        surrogate, comatrix, bb, [corpus.sequences[u] for u, _ in pairs], cfgs, ac.eval_k,
-        refine=ac.refine,
-    )
+        triples.append((x, t, max(len(x) + 1, math.ceil(ac.length_factor * len(x)))))
+        seeds.append(int(rng.integers(2**31)))
+    attacked = atk.attack_users(surrogate, comatrix, bb, ac, triples, ac.eval_k, refine=ac.refine)
     arms = {arm: [] for arm in _ARM_METRICS}  # each pair's sequence per arm
     refined_count, surrogate_prob_gain = 0, 0.0
-    for (u, t), cfg, (z, _, refined, info) in zip(pairs, cfgs, attacked):
-        x, total = corpus.sequences[u], cfg.total_length
+    for (x, t, total), seed, (z, _, refined, info) in zip(triples, seeds, attacked):
         arms["original"].append(x)
         arms["dual"].append(z)
-        arms["rand"].append(atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=cfg.seed))
+        arms["rand"].append(atk.baseline_rand_alter(x, t, total, corpus.num_items, seed=seed))
         arms["sim"].append(atk.baseline_sim_alter(surrogate, x, t, total))
         refined_count += int(refined)
         surrogate_prob_gain += info.target_prob_end - info.target_prob_start
     n = max(1, len(pairs))
-    pair_targets = [t for _, t in pairs]
     metrics = {}
     for arm, seqs in arms.items():
-        hit, _, rr = _exposure(victim, seqs, pair_targets, ac.eval_k)
+        ranked = recommend_topk_batch(victim, seqs, ac.eval_k).tolist()
+        found = [atk._exposure(r, t, ac.eval_k) for r, (_, t) in zip(ranked, pairs)]
         prefix = _ARM_METRICS[arm]
-        metrics[f"{prefix}_hit"] = _in_order_sum(hit.tolist()) / n
+        metrics[f"{prefix}_hit"] = _in_order_sum([e.hit for e in found]) / n
         if arm in ("original", "dual"):
-            metrics[f"{prefix}_mrr"] = _in_order_sum(rr.tolist()) / n
+            metrics[f"{prefix}_mrr"] = _in_order_sum([e.reciprocal_rank for e in found]) / n
         metrics[f"plaus_{arm}"] = _in_order_sum(
             [plausibility_score(seq, comatrix, ac.corel_kind) for seq in seqs]) / n
     metrics["attack_success_rate"] = metrics["post_hit"]  # post-attack hit-rate@k

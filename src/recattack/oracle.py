@@ -30,8 +30,9 @@ class QuerySet:
 
     Record i is the prefix prefixes[i] (a tuple of item ids) and the ranking
     ranked[i], a row of one read-only (n, k) int64 array. A negative id, a
-    row count other than len(prefixes) or a ranked that is not 2-D raise
-    ValueError here, where the set is built.
+    row count other than len(prefixes), a ranked that is not 2-D or k = 0 in
+    a non-empty set raise ValueError here, where the set is built: a set
+    saved by save_queryset must load again.
     """
 
     prefixes: list[tuple[int, ...]]
@@ -44,6 +45,8 @@ class QuerySet:
             raise ValueError("rankings must form one (n, k) array")
         if ranked.shape[0] != len(self.prefixes):
             raise ValueError(f"{ranked.shape[0]} rankings for {len(self.prefixes)} prefixes")
+        if ranked.shape[0] and not ranked.shape[1]:
+            raise ValueError("empty rankings in a non-empty query set")
         negative = min(map(min, filter(None, self.prefixes)), default=0) < 0
         if negative or (ranked.size and ranked.min() < 0):
             raise ValueError("negative item id in query set")

@@ -27,30 +27,30 @@ class SamplerPolicy:
     uniform: P(j) = 1/k.
     """
 
-    kind: str = "position_decay"
+    policy: str = "position_decay"
     alpha: float = 0.9
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown sampler policy {self.kind!r}")
-        if self.kind == "position_decay" and not (0.0 < self.alpha < 1.0):
+        if self.policy not in POLICY_KINDS:
+            raise ValueError(f"unknown sampler policy {self.policy!r}")
+        if self.policy == "position_decay" and not (0.0 < self.alpha < 1.0):
             raise ValueError("position_decay needs alpha in (0, 1)")
-        if self.kind == "rank_temperature" and self.tau <= 0:
+        if self.policy == "rank_temperature" and self.tau <= 0:
             raise ValueError("rank_temperature needs tau > 0")
 
     def position_weights(self, k: int) -> np.ndarray:
         if k < 1:
             raise ValueError("k must be >= 1")
         j = np.arange(1, k + 1, dtype=np.float64)
-        if self.kind == "position_decay":
+        if self.policy == "position_decay":
             w = self.alpha ** (j - 1.0)
-        elif self.kind == "rank_temperature":
+        elif self.policy == "rank_temperature":
             w = np.exp(-j / self.tau)
         else:
             w = np.ones(k)
         if not w.sum() > 0:
-            raise ValueError(f"{self.kind} weights underflow to zero")
+            raise ValueError(f"{self.policy} weights underflow to zero")
         return w / w.sum()
 
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -426,6 +427,9 @@ def test_polluted_sequences_roundtrip(tmp_path):
         load_polluted_sequences(path)
     path.write_text("u1\t1 2\nu2\t3 -1 4\n")
     with pytest.raises(ValueError, match="line 2"):
+        load_polluted_sequences(path)
+    path.write_text("u1\t1 2\nu2\t\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: empty polluted sequence on line 2$"):
         load_polluted_sequences(path)
 
 

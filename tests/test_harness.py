@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recattack.attack import AttackConfig, validate
+from recattack.attack import PollutionKnobs, _exposure, validate
 from recattack.config import (
     SCHEMA,
     STAGES,
-    AttackStageConfig,
     ExperimentConfig,
     build_config,
     load_config,
@@ -25,7 +24,6 @@ from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
     _Context,
-    _exposure,
     _ranking_quality,
     agreement_metrics,
     report_bytes_without_timing,
@@ -34,9 +32,10 @@ from recattack.harness import (
     run_pipeline,
 )
 from recattack.oracle import BlackBox
-from recattack.recmodel import RecommenderParams, recommend_topk
+from recattack.recmodel import RecommenderParams, recommend_topk, recommend_topk_batch
 from recattack.synthetic import (SyntheticSpec, _cdf, gen_synthetic_corpus, item_groups,
                                  item_weights)
+from recattack.synthgen import SamplerPolicy
 from recattack import cli
 
 TINY = {
@@ -415,14 +414,28 @@ def test_config_has_one_fusion_weight(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_attack_section_builds_each_pairs_attack_config():
-    default = AttackStageConfig().pollution(3, 9, 17)
-    assert default == AttackConfig(target=3, total_length=9, seed=17)
-    ac = build_config({"attack.epsilon": "0.3", "attack.neighbor_k": "4", "attack.w_g": "0.8",
-                       "attack.corel_kind": "ppmi", "attack.n_candidates": "2"}).attack
-    assert ac.pollution(1, 5, 2) == AttackConfig(
-        target=1, total_length=5, epsilon=0.3, n_candidates=2, neighbor_k=4, w_g=0.8,
-        corel_kind="ppmi", seed=2)
+def test_attack_and_synth_sections_are_the_engines_own_types():
+    cfg = build_config({})
+    assert isinstance(cfg.attack, PollutionKnobs) and isinstance(cfg.synth, SamplerPolicy)
+    # the engine's own check runs under the section's dotted key
+    for key, value, message in [
+        ("attack.w_g", "1.5", "attack: fusion weight w_g must be in [0, 1]"),
+        ("attack.corel_kind", "bogus", "attack: unknown corel kind 'bogus'"),
+        ("synth.policy", "bogus", "synth: unknown sampler policy 'bogus'"),
+        ("synth.alpha", "1.5", "synth: position_decay needs alpha in (0, 1)"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            build_config({key: value})
+        assert str(err.value) == message
+    # every dotted knob key reaches the knob set and the policy the stages pass on
+    cfg = build_config({"attack.epsilon": "0.3", "attack.neighbor_k": "4", "attack.w_g": "0.8",
+                        "attack.corel_kind": "ppmi", "attack.n_candidates": "2",
+                        "synth.policy": "rank_temperature", "synth.tau": "2"})
+    knobs = {f.name: getattr(cfg.attack, f.name) for f in dataclasses.fields(PollutionKnobs)}
+    assert PollutionKnobs(**knobs) == PollutionKnobs(
+        epsilon=0.3, n_candidates=2, neighbor_k=4, w_g=0.8, corel_kind="ppmi")
+    assert np.array_equal(cfg.synth.position_weights(6),
+                          SamplerPolicy("rank_temperature", tau=2.0).position_weights(6))
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -589,11 +602,10 @@ def test_batched_exposure_equals_validate(seed, v, tied, n, data):
     k = data.draw(st.integers(1, v))
     seqs = [[int(i) for i in rng.integers(0, v, size=rng.integers(1, 6))] for _ in range(n)]
     targets = [int(t) for t in rng.integers(0, v, size=n)]
-    hit, rank, rr = _exposure(victim, seqs, targets, k)
+    # the attack stage's measurement: each pair's exposure in its row of one batched ranking
+    got = [_exposure(r, t, k) for r, t in zip(recommend_topk_batch(victim, seqs, k).tolist(), targets)]
     bb = BlackBox(victim, k=data.draw(st.integers(k, v)))
-    for i, (seq, t) in enumerate(zip(seqs, targets)):
-        want = validate(bb, seq, t, k)
-        assert (hit[i], rank[i] or None, rr[i]) == (want.hit, want.rank, want.reciprocal_rank)
+    assert got == [validate(bb, seq, t, k) for seq, t in zip(seqs, targets)]
 
 
 @pytest.mark.parametrize("first", [

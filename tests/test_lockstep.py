@@ -2,7 +2,7 @@
 get what the one-pair greedy loop gives it, bit for bit."""
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from recattack.attack import (
     AttackConfig,
     ExposureResult,
     PolluteInfo,
+    PollutionKnobs,
     _Lockstep,
     _appended_probabilities,
     _cohort,
@@ -110,9 +111,10 @@ def ref_attack_user(p, m, bb, x, cfg, k, refine=True):
 
 
 def random_pairs(rng, v, n_pairs):
-    """Profiles and cfgs with one knob set: few distinct targets, some
-    repeated pairs, lengths that leave the active set a pair at a time."""
-    knobs = dict(
+    """One knob set and (profile, target, total_length) triples: few
+    distinct targets, some repeated pairs, lengths that leave the active set
+    a pair at a time."""
+    knobs = PollutionKnobs(
         epsilon=float(rng.choice([0.0, 0.05, 0.3])),
         n_candidates=int(rng.integers(1, 5)),
         neighbor_k=int(rng.integers(1, 7)),
@@ -120,18 +122,22 @@ def random_pairs(rng, v, n_pairs):
         corel_kind=str(rng.choice(["jaccard", "ppmi"])),
     )
     targets = rng.integers(0, v, size=int(rng.integers(1, 4)))
-    xs, cfgs = [], []
+    pairs = []
     for _ in range(n_pairs):
-        if xs and rng.random() < 0.2:  # a repeated pair
-            j = int(rng.integers(len(xs)))
-            xs.append(list(xs[j]))
-            cfgs.append(cfgs[j])
+        if pairs and rng.random() < 0.2:  # a repeated pair
+            x, t, total = pairs[int(rng.integers(len(pairs)))]
+            pairs.append((list(x), t, total))
             continue
         x = [int(i) for i in rng.integers(0, v, size=int(rng.integers(0, 6)))]
         total = len(x) + int(rng.integers(0 if x else 1, 5))
-        xs.append(x)
-        cfgs.append(AttackConfig(target=int(rng.choice(targets)), total_length=total, **knobs))
-    return xs, cfgs
+        pairs.append((x, int(rng.choice(targets)), total))
+    return knobs, pairs
+
+
+def pair_cfg(knobs, pair) -> AttackConfig:
+    """The one-pair AttackConfig of a (profile, target, total_length) triple."""
+    _, t, total = pair
+    return AttackConfig(**asdict(knobs), target=t, total_length=total)
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,14 +155,15 @@ def test_attack_users_equals_the_one_pair_loop(seed, v, n_pairs, zero_rows, froz
     p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
     surrogate = p.freeze() if frozen else p
     m = toy_comatrix(rng, v)
-    xs, cfgs = random_pairs(rng, v, n_pairs)
+    knobs, pairs = random_pairs(rng, v, n_pairs)
+    xs, cfgs = [x for x, _, _ in pairs], [pair_cfg(knobs, pair) for pair in pairs]
     # a victim ranking only its top 1 or 2 makes most pairs miss and retry
     victim = rand_params(rng, v=v, d=3)
     k = int(rng.integers(1, min(2, v) + 1))
 
     ref_bb, bb = BlackBox(victim, k=k), BlackBox(victim, k=k)
     want = [ref_attack_user(surrogate, m, ref_bb, x, cfg, k, refine) for x, cfg in zip(xs, cfgs)]
-    got = attack_users(surrogate, m, bb, xs, cfgs, k, refine)
+    got = attack_users(surrogate, m, bb, knobs, pairs, k, refine)
     assert got == want
     assert bb.used == ref_bb.used
     for (z, _, refined, info), x, cfg in zip(got, xs, cfgs):
@@ -180,35 +187,33 @@ def test_stacked_kernels_equal_the_one_pair_kernels_bit_for_bit(seed, v, d, n_pa
     p = rand_params(rng, v=v, d=d)
     p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
     m = toy_comatrix(rng, v, nseq=8, length=10)
-    xs, cfgs = random_pairs(rng, v, n_pairs)
-    run = _Lockstep(p, m, xs, cfgs)
+    knobs, pairs = random_pairs(rng, v, n_pairs)
+    xs = [x for x, _, _ in pairs]
+    run = _Lockstep(p, m, knobs, pairs)
     rows = np.arange(n_pairs)
     zs = {r: xs[r] for r in rows.tolist()}
     sims = run._cosines(rows, zs)
     slot = run.cohorts(rows, zs)
-    cand = np.full((n_pairs, cfgs[0].n_candidates), -1)
+    cand = np.full((n_pairs, knobs.n_candidates), -1)
     count = np.zeros(n_pairs, dtype=np.int64)
-    for r, (x, cfg) in enumerate(zip(xs, cfgs)):
-        t = cfg.target
-        probe = ref_probe(p, x + [t], t, cfg.epsilon)
-        assert np.array_equal(_probe(p, x + [t], t, cfg.epsilon), probe)
+    for r, (x, t, _) in enumerate(pairs):
+        probe = ref_probe(p, x + [t], t, knobs.epsilon)
+        assert np.array_equal(_probe(p, x + [t], t, knobs.epsilon), probe)
         want = _cosine_table(p).cosines(probe)
         assert np.array_equal(sims[r], want)
-        rel = corel_row(m, t, cfg.corel_kind)
-        items = _cohort(topk_ids(rel, cfg.neighbor_k, skip=t), want, t, cfg.neighbor_k)
+        rel = corel_row(m, t, knobs.corel_kind)
+        items = _cohort(topk_ids(rel, knobs.neighbor_k, skip=t), want, t, knobs.neighbor_k)
         size = int(slot.size[r])
         assert size == items.size and np.array_equal(slot.items[r, :size], items)
         assert np.array_equal(slot.sim[r, :size], want[items])
         assert np.array_equal(slot.stil[r, :size], _minmax(rel[items]))
-        count[r] = min(cfg.n_candidates, size)
+        count[r] = min(knobs.n_candidates, size)
         cand[r, : count[r]] = rng.permutation(items)[: count[r]]
     probs = run.candidate_probabilities(rows, zs, cand, count)
-    for r, (x, cfg) in enumerate(zip(xs, cfgs)):
+    for r, (x, t, _) in enumerate(pairs):
         c = count[r]
-        assert np.array_equal(probs[r, :c], _appended_probabilities(p, x, cand[r, :c], cfg.target))
-    assert run.probabilities(xs) == [
-        target_probability(p, x, cfg.target) if x else 0.0 for x, cfg in zip(xs, cfgs)
-    ]
+        assert np.array_equal(probs[r, :c], _appended_probabilities(p, x, cand[r, :c], t))
+    assert run.probabilities(xs) == [target_probability(p, x, t) if x else 0.0 for x, t, _ in pairs]
 
 
 def test_attack_users_across_many_score_blocks(monkeypatch):
@@ -219,11 +224,11 @@ def test_attack_users_across_many_score_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     surrogate = rand_params(rng, v=40, d=6).freeze()
     m = toy_comatrix(rng, 40, nseq=20, length=8)
-    xs, cfgs = random_pairs(rng, 40, 15)
+    knobs, pairs = random_pairs(rng, 40, 15)
     victim = rand_params(rng, v=40, d=3)
     bb, ref_bb = BlackBox(victim, k=1), BlackBox(victim, k=1)
-    want = [ref_attack_user(surrogate, m, ref_bb, x, cfg, 1) for x, cfg in zip(xs, cfgs)]
-    assert attack_users(surrogate, m, bb, xs, cfgs, 1) == want
+    want = [ref_attack_user(surrogate, m, ref_bb, pair[0], pair_cfg(knobs, pair), 1) for pair in pairs]
+    assert attack_users(surrogate, m, bb, knobs, pairs, 1) == want
     assert bb.used == ref_bb.used
 
 
@@ -233,8 +238,8 @@ def test_the_retry_at_the_first_weight_adds_no_probe_or_candidate_scoring(monkey
     rng = np.random.default_rng(7)
     surrogate = rand_params(rng, v=40, d=6).freeze()
     m = toy_comatrix(rng, 40, nseq=20, length=8)
-    xs, cfgs = random_pairs(rng, 40, 12)
-    cfgs = [replace(cfg, w_g=1.0) for cfg in cfgs]
+    knobs, pairs = random_pairs(rng, 40, 12)
+    knobs = replace(knobs, w_g=1.0)
     victim = rand_params(rng, v=40, d=3)
     calls = Counter()
     for name in ("_probe", "_appended_probabilities"):
@@ -243,50 +248,34 @@ def test_the_retry_at_the_first_weight_adds_no_probe_or_candidate_scoring(monkey
     counts = []
     for refine in (False, True):
         calls.clear()
-        out = attack_users(surrogate, m, BlackBox(victim, k=1), xs, cfgs, 1, refine)
-        for x, cfg in zip(xs, cfgs):
-            attack_user(surrogate, m, BlackBox(victim, k=1), x, cfg, 1, refine)
+        out = attack_users(surrogate, m, BlackBox(victim, k=1), knobs, pairs, 1, refine)
+        for pair in pairs:
+            attack_user(surrogate, m, BlackBox(victim, k=1), pair[0], pair_cfg(knobs, pair), 1, refine)
         counts.append(dict(calls))
     assert sum(refined for _, _, refined, _ in out) >= 6
     assert counts[0] == counts[1] and counts[0]["_probe"] > 0
-
-
-def test_attack_users_rejects_pairs_with_different_knobs():
-    rng = np.random.default_rng(8)
-    surrogate = rand_params(rng, v=10, d=4).freeze()
-    m = toy_comatrix(rng, 10)
-    bb = BlackBox(rand_params(rng, v=10, d=3), k=3)
-    good = AttackConfig(target=1, total_length=4)
-    other = dict(epsilon=0.2, n_candidates=2, neighbor_k=3, w_g=0.7, corel_kind="ppmi")
-    assert set(other) == set(attack._KNOBS)
-    for knob, value in other.items():
-        with pytest.raises(ValueError, match="one knob set"):
-            attack_users(surrogate, m, bb, [[0], [2]], [good, replace(good, **{knob: value})], 3)
-    assert bb.used == 0
 
 
 def test_attack_users_charges_one_query_per_validation():
     rng = np.random.default_rng(3)
     surrogate = rand_params(rng, v=20, d=4).freeze()
     m = toy_comatrix(rng, 20)
-    xs = [[1, 2], [3], [4, 5, 6]]
-    cfgs = [AttackConfig(target=t, total_length=len(x) + 2) for t, x in zip((7, 8, 7), xs)]
+    pairs = [(x, t, len(x) + 2) for x, t in zip([[1, 2], [3], [4, 5, 6]], (7, 8, 7))]
     bb = BlackBox(rand_params(rng, v=20, d=3), k=1)
-    out = attack_users(surrogate, m, bb, xs, cfgs, 1)
-    assert bb.used == len(xs) + sum(refined for _, _, refined, _ in out)
+    out = attack_users(surrogate, m, bb, PollutionKnobs(), pairs, 1)
+    assert bb.used == len(pairs) + sum(refined for _, _, refined, _ in out)
     assert all(isinstance(res, ExposureResult) for _, res, _, _ in out)
-    assert attack_users(surrogate, m, bb, [], [], 1) == []
+    assert attack_users(surrogate, m, bb, PollutionKnobs(), [], 1) == []
 
 
 def test_attack_users_fails_at_a_batch_when_the_budget_is_short():
     rng = np.random.default_rng(4)
     surrogate = rand_params(rng, v=20, d=4).freeze()
     m = toy_comatrix(rng, 20)
-    xs = [[1, 2], [3], [4, 5, 6]]
-    cfgs = [AttackConfig(target=9, total_length=len(x) + 2) for x in xs]
+    pairs = [(x, 9, len(x) + 2) for x in [[1, 2], [3], [4, 5, 6]]]
     bb = BlackBox(rand_params(rng, v=20, d=3), k=1, budget=2)
     with pytest.raises(BudgetExhausted):
-        attack_users(surrogate, m, bb, xs, cfgs, 1)
+        attack_users(surrogate, m, bb, PollutionKnobs(), pairs, 1)
     assert bb.used == 0
 
 
@@ -295,14 +284,13 @@ def test_attack_users_checks_every_pair_before_querying():
     surrogate = rand_params(rng, v=10, d=4).freeze()
     m = toy_comatrix(rng, 10)
     bb = BlackBox(rand_params(rng, v=10, d=3), k=3)
-    good = AttackConfig(target=1, total_length=4)
+    knobs, good = PollutionKnobs(), ([0], 1, 4)
     with pytest.raises(ValueError, match="target"):
-        attack_users(surrogate, m, bb, [[0], [0]], [good, replace(good, target=10)], 3)
+        attack_users(surrogate, m, bb, knobs, [good, ([0], 10, 4)], 3)
     with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
-        attack_users(surrogate, m, bb, [[0]], [good], 4)
+        attack_users(surrogate, m, bb, knobs, [good], 4)
     with pytest.raises(ValueError, match="longer than"):
-        attack_users(surrogate, m, bb, [[0], [0, 1, 2, 3, 4]], [good, good], 3)
-    with pytest.raises(ValueError, match="one cfg per profile"):
-        attack_users(surrogate, m, bb, [[0]], [good, good], 3)
+        attack_users(surrogate, m, bb, knobs, [good, ([0, 1, 2, 3, 4], 1, 4)], 3)
     assert bb.used == 0
-    assert attack_user(surrogate, m, bb, [0], good, 3) == attack_users(surrogate, m, bb, [[0]], [good], 3)[0]
+    one = AttackConfig(target=1, total_length=4)
+    assert attack_user(surrogate, m, bb, [0], one, 3) == attack_users(surrogate, m, bb, knobs, [good], 3)[0]

@@ -167,9 +167,11 @@ def test_queryset_holds_one_read_only_ranking_array():
     lambda: QuerySet([(1,)], np.zeros(3, dtype=np.int64)),
     lambda: QuerySet([(1,)], np.zeros((1, 3, 1), dtype=np.int64)),
     lambda: QuerySet.from_pairs([((1,), (2**63, 0))]),
+    lambda: QuerySet.from_pairs([((1,), ())]),
+    lambda: QuerySet([(1,), ()], np.zeros((2, 0), dtype=np.int64)),
 ], ids=["negative_prefix_id", "negative_ranked_id", "negative_id_in_array", "ragged_shorter",
         "ragged_longer", "fewer_rows", "more_rows", "one_dimensional", "three_dimensional",
-        "id_past_int64"])
+        "id_past_int64", "empty_rankings", "empty_rankings_in_array"])
 def test_queryset_rejects_bad_records_where_built(build):
     with pytest.raises(ValueError):
         build()
