@@ -248,8 +248,8 @@ class _Lockstep:
     computation bit for bit. retry replays one pair at another fusion weight
     over the first pass's records.
 
-    Arrays of V columns are made a block of about SCORE_BLOCK scores at a
-    time (n_candidates times that for the candidate scores)."""
+    Probe scores come a block of about SCORE_BLOCK at a time, candidate
+    scores n_candidates times that; the rows' cosines form one (rows, V) array."""
 
     def __init__(self, surrogate: RecommenderParams, m: CoMatrix, knobs: PollutionKnobs, pairs):
         self.s, self.knobs = surrogate, knobs
@@ -263,11 +263,12 @@ class _Lockstep:
         if min(steps) < 0:
             raise ValueError("input already longer than the requested total length")
         self.t, self.steps = np.array(targets), np.array(steps)
-        # each target's relatedness row and neighbors, once per target
+        # each target's relatedness row and neighbors, once per target; inv[r] is pair r's row
         index: dict[int, int] = {}
         self.inv = np.array([index.setdefault(t, len(index)) for t in targets])
-        self.rel = [corel_row(m, t, knobs.corel_kind) for t in index]
-        self.neighbors = [topk_ids(row, knobs.neighbor_k, skip=t) for row, t in zip(self.rel, index)]
+        self.rel = np.stack([corel_row(m, t, knobs.corel_kind) for t in index])
+        self.neighbors = np.stack([topk_ids(row, knobs.neighbor_k, skip=t)
+                                   for row, t in zip(self.rel, index)])
         self.table = _cosine_table(surrogate)
         # most steps first, so the pairs still short after j steps lead the
         # order; rank[r] is pair r's row in every slot of the first pass
@@ -299,13 +300,12 @@ class _Lockstep:
         probes = np.empty((rows.size, self.s.dim))
         for block, scores in score_blocks(self.s, seqs):
             tb = t[block]
-            # ce_last_row_grad: the softmax, minus one at the target, pulled
-            # back through E and weighted by the last position's weight
+            # ce_last_row_grad without the last position's weight, which is
+            # in [1/T, 1]: the probe reads only the gradient's sign
             probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
             probs /= probs.sum(axis=-1, keepdims=True)
             probs[np.arange(block.size), tb] -= 1.0
-            w_last = position_weights(self.s.gamma, len(seqs[block[0]]))[-1]
-            gpos = w_last * np.matmul(probs[:, None, :], emb)[:, 0]
+            gpos = np.matmul(probs[:, None, :], emb)[:, 0]
             probes[block] = emb[tb] - self.knobs.epsilon * np.sign(gpos)
         # _CosineTable.cosines, a row per probe; np.linalg.norm is sqrt(dot)
         pnorm = np.sqrt(np.matmul(probes[:, None, :], probes[:, :, None])[:, 0, 0])
@@ -319,24 +319,18 @@ class _Lockstep:
         """Each row's cohort on the prefix zs[r] (_cohort), its cosines, and
         its min-max relatedness (_minmax), stacked; cohorts shorter than the
         longest are padded with id 0."""
-        k, v = self.knobs.neighbor_k, self.s.num_items
-        t, inv = self.t[rows], self.inv[rows]
-        step = max(1, SCORE_BLOCK // v)
-        blocks = [(b, self._cosines(rows[b : b + step], zs)) for b in range(0, rows.size, step)]
-        aligned = np.concatenate([_topk_rows_skip(sims, k, t[b : b + step]) for b, sims in blocks])
-        nb = np.stack([self.neighbors[i] for i in inv.tolist()])
-        ids = np.sort(np.concatenate([nb, aligned], axis=1), axis=1)
+        inv, sims = self.inv[rows], self._cosines(rows, zs)
+        aligned = _topk_rows_skip(sims, self.knobs.neighbor_k, self.t[rows])
+        ids = np.sort(np.concatenate([self.neighbors[inv], aligned], axis=1), axis=1)
         repeat = np.zeros(ids.shape, dtype=bool)
         repeat[:, 1:] = ids[:, 1:] == ids[:, :-1]
-        ids[repeat] = v  # past every id, so a second sort moves repeats last
+        ids[repeat] = self.s.num_items  # past every id, so a second sort moves repeats last
         items = np.sort(ids, axis=1)
         size = ids.shape[1] - repeat.sum(axis=1)
         valid = np.arange(items.shape[1]) < size[:, None]
         items[~valid] = 0
-        sim = np.concatenate(
-            [sims[np.arange(sims.shape[0])[:, None], items[b : b + step]] for b, sims in blocks]
-        )
-        raw = np.stack([self.rel[i][row] for i, row in zip(inv.tolist(), items)])
+        at_row = np.arange(rows.size)[:, None]
+        sim, raw = sims[at_row, items], self.rel[inv[:, None], items]
         lo = np.where(valid, raw, np.inf).min(axis=1, keepdims=True)
         hi = np.where(valid, raw, -np.inf).max(axis=1, keepdims=True)
         span = hi - lo
@@ -350,9 +344,8 @@ class _Lockstep:
         probs = np.zeros(cand.shape)
         seqs = [zs[r] for r in rows.tolist()]
         h = _pooled(self.s, seqs)
-        # the appended position's weight, once per prefix length
-        last = {n: position_weights(self.s.gamma, n + 1)[-1] for n in set(map(len, seqs))}
-        b = np.array([last[len(z)] for z in seqs])
+        # the appended position's weight
+        b = np.array([position_weights(self.s.gamma, len(z) + 1)[-1] for z in seqs])
         emb, v, t = self.s.emb, self.s.num_items, self.t[rows]
         for c in set(count.tolist()):
             sel = np.flatnonzero(count == c)
@@ -404,10 +397,9 @@ class _Lockstep:
         step with one pair still active goes through step_one."""
         n = self.knobs.n_candidates
         zs = [list(x) for x in self.xs]
-        neg = -self.steps[self.order]
-        live = np.searchsorted(neg, -np.arange(-neg.min(initial=0)))  # pairs active at step j
         slots = []
-        for count in live.tolist():
+        for j in range(self.steps.max(initial=0)):
+            count = int((self.steps > j).sum())  # pairs active at step j
             act = self.order[:count]
             if count == 1:
                 slot = self.step_one(int(act[0]), zs[act[0]], w_g, None)
@@ -415,16 +407,13 @@ class _Lockstep:
                 slot = self.cohorts(act, zs)
                 fused = fuse(slot.sim, slot.stil, w_g)
                 width = fused.shape[1]
-                padded = slot.size.min() < width
-                if padded:
-                    fused[np.arange(width) >= slot.size[:, None]] = -np.inf
+                fused[np.arange(width) >= slot.size[:, None]] = -np.inf
                 top = topk_rows(fused, min(n, width))
                 at_row = np.arange(count)[:, None]
                 cand, cstil = slot.items[at_row, top], slot.stil[at_row, top]
-                if padded:  # a shortlist past a cohort smaller than n: -1 marks the gap
-                    cand[top >= slot.size[:, None]] = -1
+                cand[top >= slot.size[:, None]] = -1  # a shortlist past a short cohort: the gap
                 probs = self.candidate_probabilities(act, zs, cand, np.minimum(n, slot.size))
-                ranked = np.where(cand >= 0, probs, -np.inf) if padded else probs
+                ranked = np.where(cand >= 0, probs, -np.inf)
                 slot.cand, slot.probs = cand, probs
                 slot.chosen = cand[at_row[:, 0], np.lexsort((cand, -cstil, -ranked), axis=1)[:, 0]]
             for r, item in zip(act.tolist(), slot.chosen.tolist()):
@@ -582,10 +571,11 @@ def attack_users(
     advance together (_Lockstep.greedy) and are validated in one
     query_batch. With `refine`, each pair that misses the top-k is retried
     with the gradient weight raised by 0.2 (clamped to 1), replayed one pair
-    at a time over its first pass's records (_Lockstep.retry), and the
-    retries are validated in a second query_batch; a retried pair reports
-    the retry's outcome either way. Each pair gets what pollute_detailed and
-    validate give it alone, bit for bit, and one charge per validation.
+    at a time over its first pass's records (_Lockstep.retry). The retries
+    that changed the sequence are validated in a second query_batch and are
+    `refined`; the rest keep the first pass's outcome. Each pair gets what
+    pollute_detailed and validate give it alone, bit for bit, and one charge
+    per validation.
     """
     targets = [t for _, t, _ in pairs]
     for t in targets:
@@ -596,10 +586,12 @@ def attack_users(
     run = _Lockstep(surrogate, m, knobs, pairs)
     zs, slots = run.greedy(knobs.w_g)
     results = [_exposure(r, t, k) for r, t in zip(bb.query_batch(zs).tolist(), targets)]
-    refined = [bool(refine) and not res.hit for res in results]
-    again = [r for r, retried in enumerate(refined) if retried]
-    for r in again:
-        zs[r] = run.retry(r, min(1.0, knobs.w_g + 0.2), slots)
+    refined = [False] * len(pairs)
+    for r, res in enumerate(results):
+        if refine and not res.hit:
+            z = run.retry(r, min(1.0, knobs.w_g + 0.2), slots)
+            refined[r], zs[r] = z != zs[r], z
+    again = [r for r, changed in enumerate(refined) if changed]
     if again:
         for r, ranked in zip(again, bb.query_batch([zs[r] for r in again]).tolist()):
             results[r] = _exposure(ranked, targets[r], k)

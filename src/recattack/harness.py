@@ -17,11 +17,11 @@ several invocations spends and reports what the one-shot run does. The
 budget is the attacker's: the attack stage pollutes all its (user, target)
 pairs in one attack_users call, under the one knob set its config section
 is, which advances their first passes in lockstep, and charges only its
-validations, one per pair plus one per refine retry, made as two batched
-queries. It measures every arm (the original profiles, the polluted ones
-and both baselines) on the victim directly, each pair's exposure read as
-attack_users reads it from one batched ranking per arm, and charges nothing
-for it. The synthesis stage's config section is its sampler policy.
+validations, one per pair plus one per refine retry that changed the
+pair's sequence, made as two batched queries. It measures every arm (the
+original profiles, the polluted ones and both baselines) on the victim
+directly, each pair's exposure read as attack_users reads it from one
+batched ranking per arm, and charges nothing for it. The synthesis stage's config section is its sampler policy.
 
 Both studies are tables of arms run by `_run_arms`: an arm is a label, a
 sub-directory and dotted-key overrides of the parent config, and a repeated
@@ -187,7 +187,13 @@ class _Context:
 
     @functools.cached_property
     def queries(self):
-        return load_queryset(self._artifact("queries", "run the synthesize stage first"))
+        path = self._artifact("queries", "run the synthesize stage first")
+        queries, v = load_queryset(path), self.corpus.num_items  # the file does not declare V
+        top = int(max(queries.ranked.max(initial=-1),
+                      max(map(max, filter(None, queries.prefixes)), default=-1)))
+        if top >= v:
+            raise ValueError(f"{path}: item id {top} is outside the corpus's {v} items")
+        return queries
 
     @functools.cached_property
     def surrogate(self):

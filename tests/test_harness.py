@@ -882,6 +882,23 @@ def test_cli_stage_failure_exits_2(tmp_path, capsys):
     assert "stage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", [0, 1])  # the prefix, then the ranking
+def test_a_query_id_outside_the_corpus_is_rejected_where_the_file_loads(tmp_path, capsys, side):
+    out = tmp_path / "out"
+    for cmd in ("gen-corpus", "train-victim", "synthesize"):
+        assert cli.main(cli_args(cmd, out)) == 0
+    v = load_corpus(out / "corpus.txt").num_items
+    path = out / "queries.tsv"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    fields = first.rstrip("\n").split("\t")
+    fields[side] = " ".join([str(v), *fields[side].split()[1:]])
+    path.write_text("\t".join(fields) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert cli.main(cli_args("distill", out)) == 2
+    assert f"{path}: item id {v} is outside the corpus's {v} items" in capsys.readouterr().err
+    assert not (out / "surrogate.params").exists()
+
+
 # "V" stands for the realised catalog size
 @pytest.mark.parametrize("extra, key", [({"eval.ks": "1,50"}, "eval.ks"),
                                         ({"oracle.k": "50", "attack.eval_k": "40"}, "oracle.k"),

@@ -104,6 +104,8 @@ def ref_attack_user(p, m, bb, x, cfg, k, refine=True):
     if result.hit or not refine:
         return z, result, False, info
     z2, info2 = ref_pollute(p, m, x, replace(cfg, w_g=min(1.0, cfg.w_g + 0.2)), work)
+    if z2 == z:  # the retry repeats the first pass: no query, not refined
+        return z, result, False, info
     return z2, validate(bb, z2, cfg.target, k), True, info2
 
 
@@ -234,7 +236,8 @@ def test_attack_users_across_many_score_blocks(monkeypatch):
 
 def test_the_retry_at_the_first_weight_adds_no_probe_or_candidate_scoring(monkeypatch):
     # at w_g = 1 the retry's weight is the first pass's, so each retried pair
-    # replays its first pass on that pass's records, stacked or one-pair
+    # replays its first pass on that pass's records, stacked or one-pair,
+    # and returns its sequence: no missed pair is validated again
     rng = np.random.default_rng(7)
     surrogate = rand_params(rng, v=40, d=6).freeze()
     m = toy_comatrix(rng, 40, nseq=20, length=8)
@@ -248,12 +251,62 @@ def test_the_retry_at_the_first_weight_adds_no_probe_or_candidate_scoring(monkey
     counts = []
     for refine in (False, True):
         calls.clear()
-        out = attack_users(surrogate, m, BlackBox(victim, k=1), knobs, pairs, 1, refine)
+        bb = BlackBox(victim, k=1)
+        out = attack_users(surrogate, m, bb, knobs, pairs, 1, refine)
         for pair in pairs:
             attack_user(surrogate, m, BlackBox(victim, k=1), pair[0], pair_cfg(knobs, pair), 1, refine)
         counts.append(dict(calls))
-    assert sum(refined for _, _, refined, _ in out) >= 6
+    assert sum(not res.hit for _, res, _, _ in out) >= 6
+    assert not any(refined for _, _, refined, _ in out) and bb.used == len(pairs)
     assert counts[0] == counts[1] and counts[0]["_probe"] > 0
+
+
+@pytest.mark.parametrize("seed, changed", [(4, False), (0, True)])
+def test_a_retry_is_charged_only_when_it_changes_the_sequence(seed, changed):
+    # a missed pair whose retry returns the first pass's sequence keeps that
+    # pass's outcome, uncharged and not refined; a changed one is validated
+    rng = np.random.default_rng(seed)
+    surrogate = rand_params(rng, v=40, d=8).freeze()
+    m = toy_comatrix(rng, 40, nseq=30, length=8)
+    x = [int(i) for i in rng.integers(0, 40, size=4)]
+    pair = (x, int(rng.integers(0, 40)), 10)
+    knobs = PollutionKnobs(n_candidates=3, neighbor_k=5, w_g=0.0)
+    victim = rand_params(rng, v=40, d=3)
+    bb, ref_bb = BlackBox(victim, k=1), BlackBox(victim, k=1)
+    got = attack_users(surrogate, m, bb, knobs, [pair], 1)
+    assert got == [ref_attack_user(surrogate, m, ref_bb, x, pair_cfg(knobs, pair), 1)]
+    first, _ = pollute_detailed(surrogate, m, x, pair_cfg(knobs, pair))
+    assert not validate(BlackBox(victim, k=1), first, pair[1], 1).hit
+    z, _, refined, _ = got[0]
+    assert refined == changed == (z != first)
+    assert bb.used == ref_bb.used == 1 + changed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    v=st.sampled_from([2, 7, 40, 200]),
+    d=st.sampled_from([1, 3, 8, 32]),
+    n_pairs=st.integers(2, 12),
+    zero_rows=st.integers(0, 3),
+)
+def test_cosines_hold_in_a_block_of_mixed_prefix_lengths(seed, v, d, n_pairs, zero_rows):
+    # the probe reads only the gradient's sign, so a block need not hold one
+    # prefix length: here every row is scored alone and passed as one block
+    def one_block(params, prefixes):
+        yield np.arange(len(prefixes)), np.stack([recmodel.forward_scores(params, x) for x in prefixes])
+
+    rng = np.random.default_rng(seed)
+    p = rand_params(rng, v=v, d=d, gamma=float(rng.choice([0.3, 0.8, 1.0])))
+    p.emb[rng.choice(v, size=min(zero_rows, v), replace=False)] = 0.0  # below the norm floor
+    knobs, pairs = random_pairs(rng, v, n_pairs)
+    run = _Lockstep(p, toy_comatrix(rng, v), knobs, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attack, "score_blocks", one_block)
+        sims = run._cosines(np.arange(n_pairs), [x for x, _, _ in pairs])
+    for r, (x, t, _) in enumerate(pairs):
+        want = _cosine_table(p).cosines(_probe(p, x + [t], t, knobs.epsilon))
+        assert np.array_equal(sims[r], want)
 
 
 def test_attack_users_charges_one_query_per_validation():
