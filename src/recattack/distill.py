@@ -106,7 +106,11 @@ def _kl_rows(p_b: np.ndarray, s: np.ndarray, tau_w: float):
     """Forward KL(p_b || softmax(s / tau_w)) of each row of s (B, k), and its
     gradient w.r.t. s, (softmax(s / tau_w) - p_b) / tau_w."""
     p_w, log_pw = softmax(s / tau_w)
-    return np.sum(p_b * (np.log(p_b)[None, :] - log_pw), axis=1), (p_w - p_b[None, :]) / tau_w
+    terms = np.subtract(np.log(p_b), log_pw, out=log_pw)
+    terms *= p_b
+    p_w -= p_b
+    p_w /= tau_w
+    return np.sum(terms, axis=1), p_w
 
 
 def _pair_rows(s: np.ndarray, s_neg: np.ndarray, delta1: float, delta2: float):
@@ -120,16 +124,19 @@ def _pair_rows(s: np.ndarray, s_neg: np.ndarray, delta1: float, delta2: float):
     g_pair = np.zeros_like(s)
     l_pair = np.zeros(b)
     if k > 1:
-        margin = s[:, 1:] - s[:, :-1] + delta1
-        active = margin > 0
-        l_pair += np.where(active, margin, 0.0).sum(axis=1) / (k - 1)
-        g_pair[:, 1:] += active / (k - 1)
-        g_pair[:, :-1] -= active / (k - 1)
-    nmargin = s_neg - s[:, None, :] + delta2
-    nactive = nmargin > 0
-    l_pair += np.where(nactive, nmargin, 0.0).sum(axis=(1, 2)) / (m * k)
-    g_neg = nactive / (m * k)
-    g_pair -= g_neg.sum(axis=1)
+        margin = s[:, 1:] - s[:, :-1]
+        margin += delta1
+        step = (margin > 0) / (k - 1)
+        # a margin is never -0.0 (x + delta at x = -delta is +0.0), so each
+        # clamp's zeros are the hinge's +0.0
+        l_pair += np.maximum(margin, 0.0, out=margin).sum(axis=1) / (k - 1)
+        g_pair[:, 1:] += step
+        g_pair[:, :-1] -= step
+    nmargin = s_neg - s[:, None, :]
+    nmargin += delta2
+    g_neg = (nmargin > 0) / (m * k)
+    l_pair += np.maximum(nmargin, 0.0, out=nmargin).sum(axis=(1, 2)) / (m * k)
+    g_pair -= g_neg[:, 0] if m == 1 else g_neg.sum(axis=1)
     return l_pair, g_pair, g_neg
 
 
@@ -141,8 +148,12 @@ def _batch_losses_and_grads(cfg, s, s_neg, p_b):
     l_pair, g_pair, g_neg = _pair_rows(s, s_neg, cfg.delta1, cfg.delta2)
     b = s.shape[0]
     loss = float(np.mean(cfg.lam * l_pair + (1.0 - cfg.lam) * l_kl))
-    gs = (cfg.lam * g_pair + (1.0 - cfg.lam) * g_kl) / b
-    gn = (cfg.lam * g_neg) / b
+    # (lam * g_pair + (1 - lam) * g_kl) / b and lam * g_neg / b, in place
+    gs = np.multiply(g_pair, cfg.lam, out=g_pair)
+    gs += np.multiply(g_kl, 1.0 - cfg.lam, out=g_kl)
+    gs /= b
+    gn = np.multiply(g_neg, cfg.lam, out=g_neg)
+    gn /= b
     return loss, gs, gn
 
 
@@ -190,16 +201,19 @@ def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray
     """Uniform negatives from the complement of each row's ranked items.
 
     ranked_idx is (B, k) with distinct items per row; returns (B, m, k).
+    The ranked cells are cleared from one flat (B * V) mask by a single
+    index assignment; the m * k draws per row index that row's allowed
+    items, in ascending order, so no (B, V - k) complement table is made.
     """
     b, k = ranked_idx.shape
     if v - k < 1:
         raise ValueError("vocabulary leaves no negatives outside the top-k list")
-    mask = np.ones((b, v), dtype=bool)
-    np.put_along_axis(mask, ranked_idx, False, axis=1)
+    rows = np.arange(b)[:, None]
+    mask = np.ones(b * v, dtype=bool)  # the (B, V) allowed cells, flat
+    mask[ranked_idx + rows * v] = False
     draws = rng.integers(0, v - k, size=(b, m * k))
     # row r's v - k allowed cells are entries r*(v-k) .. (r+1)*(v-k) - 1 of
     # the flat list of allowed cells, in ascending order
-    rows = np.arange(b)[:, None]
     allowed = np.flatnonzero(mask)[draws + rows * (v - k)] - rows * v
     return allowed.reshape(b, m, k)
 
@@ -213,20 +227,25 @@ def _distill_step(
     and n_idx (B, m, k) the sampled negatives. The score gradients of both
     are summed into one dense (B, V) matrix G, written over the scores in
     ws, so d_bias = G.sum(0), and d_emb = G.T @ hidden (the scored items) +
-    pool.T @ (G @ E) (the prefixes). np.add.at sums each cell's gradients in
-    the order np.bincount would.
+    pool.T @ (G @ E) (the prefixes). Scores are read from and gradients
+    written to G's flat cells. A row's ranked items are distinct and no
+    negative is one of them, so the ranked gradients are stored directly;
+    np.add.at sums the negatives', which may repeat, in the order
+    np.bincount would.
     """
     b, v = pool.shape
-    scores = _scores(params, pool, ws)
-    s = np.take_along_axis(scores, r_idx, axis=1)
-    s_neg = np.take_along_axis(scores, n_idx.reshape(b, -1), axis=1).reshape(n_idx.shape)
-    loss, gs, gn = _batch_losses_and_grads(cfg, s, s_neg, p_b)
-
     offset = np.arange(b)[:, None] * v
-    cells = np.concatenate(((r_idx + offset).ravel(), (n_idx.reshape(b, -1) + offset).ravel()))
+    r_cells = r_idx + offset  # cells of the flat (b * V) scores
+    n_cells = n_idx.reshape(b, -1) + offset
+    scores = _scores(params, pool, ws)
+    flat = scores.reshape(-1)
+    loss, gs, gn = _batch_losses_and_grads(
+        cfg, flat[r_cells], flat[n_cells].reshape(n_idx.shape), p_b)
+
     g = scores
     g.fill(0.0)
-    np.add.at(g.reshape(-1), cells, np.concatenate((gs.ravel(), gn.ravel())))
+    flat[r_cells] = gs
+    np.add.at(flat, n_cells.ravel(), gn.ravel())
     return (loss, *_table_grads(params, pool, g, ws))
 
 

@@ -60,7 +60,7 @@ from .corpus import (
 )
 from .distill import distill_train
 from .errors import ConfigError, StageError
-from .evalkit import _in_order_sum, agreement_at_k, ndcg_at_k, plausibility_score, recall_at_k
+from .evalkit import _in_order_sum, plausibility_score
 from .oracle import BlackBox, load_queryset, save_queryset
 from .recmodel import init_params, load_params, recommend_topk_batch, save_params, train
 from .synthetic import gen_synthetic_corpus
@@ -199,6 +199,18 @@ class _Context:
     def surrogate(self):
         return load_params(self._artifact("surrogate", "run the distill stage first"))
 
+    def victim_ranking(self) -> np.ndarray:
+        """The victim's top-max(eval.ks) of every test prefix, ranked once
+        per run. A stored ranking at least that wide is cut to it, as the
+        top-K of a total order begins with its top-k; a narrower one, left
+        by a config with a smaller eval.ks, is ranked again and stored."""
+        k = max(self.cfg.eval_ks)
+        top = vars(self).get("test_ranking")
+        if top is None or top.shape[1] < k:
+            top = self.test_ranking = recommend_topk_batch(
+                self.victim, [prefix for prefix, _ in self.split.test], k)
+        return top[:, :k]
+
 
 def _out(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
@@ -236,31 +248,53 @@ def _oracle(ctx: _Context, stage: str) -> BlackBox:
     )
 
 
-def _ranking_quality(params, pairs, ks) -> dict:
+def _ranking_quality(params, pairs, ks, rankings=None) -> dict:
+    """Mean recall@k and NDCG@k over (prefix, held-out item) pairs for every
+    k in ks, from params' top-max(ks) of the prefixes, or from `rankings`,
+    that ranking made already. Each metric is the sum, left to right, of
+    the values recall_at_k and ndcg_at_k give each pair, over the pairs."""
     maxk = max(ks)
-    metrics = {f"recall@{k}": 0.0 for k in ks}
-    metrics.update({f"ndcg@{k}": 0.0 for k in ks})
-    rankings = recommend_topk_batch(params, [prefix for prefix, _ in pairs], maxk)
-    for ranked, (_, truth) in zip(rankings.tolist(), pairs):
-        for k in ks:
-            metrics[f"recall@{k}"] += recall_at_k(ranked, truth, k)
-            metrics[f"ndcg@{k}"] += ndcg_at_k(ranked, truth, k)
+    if rankings is None:
+        rankings = recommend_topk_batch(params, [prefix for prefix, _ in pairs], maxk)
+    hit = rankings[:, :maxk] == np.array([truth for _, truth in pairs], dtype=np.int64)[:, None]
+    # a row's items are distinct, so its first match is its only one; maxk
+    # marks a miss
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), maxk)
+    gain = np.array([1 / math.log2(j + 2) for j in range(maxk)] + [0.0])
     n = max(1, len(pairs))
-    return {key: val / n for key, val in metrics.items()}
+    metrics = {}
+    for k in ks:
+        within = first < k
+        metrics[f"recall@{k}"] = _in_order_sum(np.where(within, 1.0, 0.0).tolist()) / n
+        metrics[f"ndcg@{k}"] = _in_order_sum(np.where(within, gain[first], 0.0).tolist()) / n
+    return metrics
 
 
-def agreement_metrics(victim, surrogate, prefixes, ks) -> dict:
-    """Mean top-k overlap between two models across user contexts."""
+def agreement_metrics(victim, surrogate, prefixes, ks, victim_top=None) -> dict:
+    """Mean top-k overlap between two models across user contexts, for
+    every k in ks and k = 1. `victim_top`, the victim's ranking of the
+    prefixes at least max(ks) wide, is read in place of ranking them again.
+    Each row's overlap is counted with numpy, and the rows' count / k are
+    summed left to right, the floats agreement_at_k gives row by row."""
     wanted = sorted(set(ks) | {1})
     maxk = max(wanted)
-    out = {f"agr@{k}": 0.0 for k in wanted}
-    victim_top = recommend_topk_batch(victim, prefixes, maxk).tolist()
-    surrogate_top = recommend_topk_batch(surrogate, prefixes, maxk).tolist()
-    for lb, lw in zip(victim_top, surrogate_top):
-        for k in wanted:
-            out[f"agr@{k}"] += agreement_at_k(lb, lw, k)
+    if victim_top is None:
+        victim_top = recommend_topk_batch(victim, prefixes, maxk)
+    elif victim_top.shape[1] < maxk:
+        raise ValueError(f"the victim's ranking is {victim_top.shape[1]} wide, below k = {maxk}")
+    surrogate_top = recommend_topk_batch(surrogate, prefixes, maxk)
+    # row r's ids are shifted by r * span, so one np.isin over all rows
+    # matches each victim item against its own row's surrogate items only;
+    # a ranking's ids are distinct, and so are the shifted ids of all rows
+    span = 1 + max(int(victim_top.max(initial=0)), int(surrogate_top.max(initial=0)))
+    offset = np.arange(len(prefixes))[:, None] * span
     n = max(1, len(prefixes))
-    return {key: val / n for key, val in out.items()}
+    out = {}
+    for k in wanted:
+        count = np.isin(victim_top[:, :k] + offset, surrogate_top[:, :k] + offset,
+                        assume_unique=True).sum(axis=1)
+        out[f"agr@{k}"] = _in_order_sum((count / k).tolist()) / n
+    return out
 
 
 def _stage_corpus(ctx: _Context) -> dict:
@@ -288,11 +322,11 @@ def _stage_victim(ctx: _Context) -> dict:
     victim = train(params, split, cfg.victim_train)
     ctx.victim = victim
     save_params(victim, _out(cfg) / ARTIFACTS["victim"])
-    metrics = {}
-    for name, pairs in (("valid", split.valid), ("test", split.test)):
-        for key, val in _ranking_quality(victim, pairs, cfg.eval_ks).items():
-            metrics[f"{name}_{key}"] = val
-    return metrics
+    quality = {
+        "valid": _ranking_quality(victim, split.valid, cfg.eval_ks),
+        "test": _ranking_quality(victim, split.test, cfg.eval_ks, ctx.victim_ranking()),
+    }
+    return {f"{name}_{key}": val for name, q in quality.items() for key, val in q.items()}
 
 
 def _stage_synthesize(ctx: _Context) -> dict:
@@ -316,10 +350,10 @@ def _stage_distill(ctx: _Context) -> dict:
     surrogate = distill_train(queries, cfg.distill, init)
     ctx.surrogate = surrogate
     save_params(surrogate, _out(cfg) / ARTIFACTS["surrogate"])
-    victim = ctx.victim
+    victim, victim_top = ctx.victim, ctx.victim_ranking()
     prefixes = [prefix for prefix, _ in ctx.split.test]
-    metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks)
-    baseline = agreement_metrics(victim, init, prefixes, cfg.eval_ks)
+    metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks, victim_top)
+    baseline = agreement_metrics(victim, init, prefixes, cfg.eval_ks, victim_top)
     for key, val in baseline.items():
         metrics[f"untrained_{key}"] = val
     return metrics
@@ -490,8 +524,12 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str, name: str, row, lead=())
         ctx = copy.copy(shared)  # the shared products, under the arm's config
         ctx.cfg = arm_cfg
         rows.append(row(run_pipeline(arm_cfg, label, ctx)))
-        if "comatrix" in vars(ctx):  # built once, by the first arm that attacks
-            shared.comatrix = ctx.comatrix
+        # the co-occurrence matrix, built by the first arm that attacks, and
+        # the victim's test ranking, widened by an arm with a larger eval.ks,
+        # serve the arms after it
+        for product in ("comatrix", "test_ranking"):
+            if product in vars(ctx):
+                setattr(shared, product, getattr(ctx, product))
     _write_csv(Path(cfg.out_dir) / f"{name}.csv", rows, lead)
     return rows
 

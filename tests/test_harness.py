@@ -19,12 +19,14 @@ from recattack.config import (
     load_config,
     parse_config_text,
 )
-from recattack.corpus import InteractionCorpus, build_comatrix, corel, load_corpus, save_corpus
+from recattack.corpus import (InteractionCorpus, build_comatrix, corel, leave_one_out_split,
+                              load_corpus, save_corpus)
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
     _Context,
     _ranking_quality,
+    _run_arms,
     agreement_metrics,
     report_bytes_without_timing,
     run_ablation,
@@ -32,11 +34,11 @@ from recattack.harness import (
     run_pipeline,
 )
 from recattack.oracle import BlackBox
-from recattack.recmodel import RecommenderParams, recommend_topk, recommend_topk_batch
+from recattack.recmodel import RecommenderParams, load_params, recommend_topk, recommend_topk_batch
 from recattack.synthetic import (SyntheticSpec, _cdf, gen_synthetic_corpus, item_groups,
                                  item_weights)
 from recattack.synthgen import SamplerPolicy
-from recattack import cli
+from recattack import cli, harness
 
 TINY = {
     "seed": "7",
@@ -739,6 +741,51 @@ def test_arms_on_shared_products_equal_file_resumed_arms_in_any_order(tmp_path, 
             shutil.copyfile(tmp_path / "forward" / name, arm_dir / name)
         run_pipeline(tiny_config(arm_dir, {**overrides, "stages": stages}), arm=label)
         assert _run_outputs(arm_dir) == want, sub
+
+
+def _victim_test_rankings(monkeypatch, out_dir):
+    """A function giving the k of every ranking the harness makes, after
+    the patch, of the victim saved in out_dir over its test prefixes."""
+    calls = []
+    real = harness.recommend_topk_batch
+
+    def recording(params, prefixes, k):
+        calls.append((params.emb.tobytes() + params.bias.tobytes(), list(prefixes), k))
+        return real(params, prefixes, k)
+
+    monkeypatch.setattr(harness, "recommend_topk_batch", recording)
+
+    def test_rankings():
+        victim = load_params(out_dir / "victim.params")
+        split = leave_one_out_split(load_corpus(out_dir / "corpus.txt"))
+        test = [prefix for prefix, _ in split.test]
+        return [k for model, prefixes, k in calls
+                if model == victim.emb.tobytes() + victim.bias.tobytes() and prefixes == test]
+
+    return test_rankings
+
+
+def test_a_sweep_ranks_the_victims_test_prefixes_once(tmp_path, monkeypatch):
+    test_rankings = _victim_test_rankings(monkeypatch, tmp_path / "out")
+    run_alpha_sweep(tiny_config(tmp_path / "out"), [0.7, 0.9])
+    # the victim stage's test quality makes it; both arms' two agreements read it
+    assert test_rankings() == [5]
+
+
+def test_an_arm_with_a_wider_eval_ks_gets_the_standalone_runs_distill_record(
+        tmp_path, monkeypatch):
+    test_rankings = _victim_test_rankings(monkeypatch, tmp_path / "study")
+    arms = [("same", "arm_same", {}), ("wide", "arm_wide", {"eval.ks": "1,5,20"}),
+            ("narrow", "arm_narrow", {"eval.ks": "3"}), ("wide2", "arm_wide2", {"eval.ks": "20"})]
+    _run_arms(tiny_config(tmp_path / "study"), arms, "distill,evaluate", "arms",
+              lambda report: {"arm": report.arm})
+    # the wide arm ranks again at 20 and hands that on; the arms after it cut it
+    assert test_rankings() == [5, 20]
+    for label, sub, overrides in arms:
+        alone = tmp_path / "alone" / label
+        run_pipeline(tiny_config(alone, overrides))
+        got = (tmp_path / "study" / sub / "stage_distill.json").read_bytes()
+        assert got == (alone / "stage_distill.json").read_bytes(), label
 
 
 # ------------------------------------------------------------------------- CLI

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from recattack import distill, recmodel
 from recattack.corpus import SplitDataset
-from recattack.distill import DistillConfig, _batch_losses_and_grads, cognitive_distribution
+from recattack.distill import DistillConfig, cognitive_distribution
 from recattack.oracle import QuerySet
 from recattack.recmodel import PrefixPool, TrainConfig, _ragged, init_params
 from recattack.synthetic import SyntheticSpec, gen_synthetic_corpus
@@ -56,18 +56,48 @@ def ref_sample_negatives(rng, ranked_idx, v, m):
     return np.take_along_axis(allowed, draws, axis=1).reshape(b, m, k)
 
 
-def ref_distill_step(cfg, params, pool, r_idx, n_idx, p_b):
+def ref_batch_losses_and_grads(cfg, s, s_neg, p_b):
+    b, k = s.shape
+    m = s_neg.shape[1]
+    p_w, log_pw = recmodel.softmax(s / cfg.tau_w)
+    l_kl = np.sum(p_b * (np.log(p_b)[None, :] - log_pw), axis=1)
+    g_kl = (p_w - p_b[None, :]) / cfg.tau_w
+    g_pair = np.zeros_like(s)
+    l_pair = np.zeros(b)
+    if k > 1:
+        margin = s[:, 1:] - s[:, :-1] + cfg.delta1
+        active = margin > 0
+        l_pair += np.where(active, margin, 0.0).sum(axis=1) / (k - 1)
+        g_pair[:, 1:] += active / (k - 1)
+        g_pair[:, :-1] -= active / (k - 1)
+    nmargin = s_neg - s[:, None, :] + cfg.delta2
+    nactive = nmargin > 0
+    l_pair += np.where(nactive, nmargin, 0.0).sum(axis=(1, 2)) / (m * k)
+    g_neg = nactive / (m * k)
+    g_pair -= g_neg.sum(axis=1)
+    loss = float(np.mean(cfg.lam * l_pair + (1.0 - cfg.lam) * l_kl))
+    gs = (cfg.lam * g_pair + (1.0 - cfg.lam) * g_kl) / b
+    return loss, gs, (cfg.lam * g_neg) / b
+
+
+def ref_distill_grad(cfg, params, pool, r_idx, n_idx, p_b):
+    """(loss, the (b, V) score gradient G, the hidden states) of one batch."""
     b, v = pool.shape
     hidden = pool @ params.emb
     scores = hidden @ params.emb.T + params.bias
     s = np.take_along_axis(scores, r_idx, axis=1)
     s_neg = np.take_along_axis(scores, n_idx.reshape(b, -1), axis=1).reshape(n_idx.shape)
-    loss, gs, gn = _batch_losses_and_grads(cfg, s, s_neg, p_b)
+    loss, gs, gn = ref_batch_losses_and_grads(cfg, s, s_neg, p_b)
     offset = np.arange(b)[:, None] * v
     cells = np.concatenate(((r_idx + offset).ravel(), (n_idx.reshape(b, -1) + offset).ravel()))
     g = np.bincount(
         cells, weights=np.concatenate((gs.ravel(), gn.ravel())), minlength=b * v
     ).reshape(b, v)
+    return loss, g, hidden
+
+
+def ref_distill_step(cfg, params, pool, r_idx, n_idx, p_b):
+    loss, g, hidden = ref_distill_grad(cfg, params, pool, r_idx, n_idx, p_b)
     return loss, g.T @ hidden + pool.T @ (g @ params.emb), g.sum(axis=0)
 
 
@@ -180,6 +210,54 @@ def test_distill_train_gives_the_allocating_kernels_bytes(data):
     )
     assert_same_bytes(distill.distill_train(queries, cfg, init),
                       ref_distill_train(queries, cfg, init))
+
+
+def _ranked_rows(data, v, k, b):
+    return np.array([data.draw(st.permutations(range(v)))[:k] for _ in range(b)], dtype=np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sample_negatives_draws_what_the_complement_table_draws(data):
+    v = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, v - 1))
+    ranked = _ranked_rows(data, v, k, data.draw(st.integers(1, 6)))
+    m, seed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 99))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = distill._sample_negatives(rng, ranked, v, m)
+    want = ref_sample_negatives(ref_rng, ranked, v, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the generator is left where the reference leaves it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distill_step_gives_the_allocating_kernels_bytes(data):
+    v = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(1, v - 1))
+    b, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 2))
+    seed = data.draw(st.integers(0, 99))
+    rng = np.random.default_rng(seed)
+    params = init_params(v, data.draw(st.integers(1, 4)), 0.5, seed=seed)
+    params.bias[:] = rng.normal(size=v)
+    # some rows empty, some sparse, as prefix pooling leaves them
+    pool = rng.random((b, v)) * (rng.random((b, v)) < data.draw(st.sampled_from([0.0, 0.3, 1.0])))
+    r_idx = _ranked_rows(data, v, k, b)
+    n_idx = ref_sample_negatives(rng, r_idx, v, m)
+    # lam 0 and 1 zero one side of the gradient: a -0.0 there is where a
+    # stored gradient could differ from one added onto zeros
+    cfg = DistillConfig(lam=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                        tau_w=data.draw(st.sampled_from([0.3, 1.0])))
+    p_b = cognitive_distribution(k, cfg.alpha, cfg.tau_b)
+    ws = recmodel.Workspace(b + data.draw(st.integers(0, 2)), v, params.dim)
+    loss, d_emb, d_bias = distill._distill_step(cfg, params, pool, r_idx, n_idx, p_b, ws)
+    want_loss, want_g, _ = ref_distill_grad(cfg, params, pool, r_idx, n_idx, p_b)
+    want = ref_distill_step(cfg, params, pool, r_idx, n_idx, p_b)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    # G itself, left in ws.scores, then the table gradients made from it
+    assert ws.scores[:b].tobytes() == want_g.tobytes()
+    assert d_emb.tobytes() == want[1].tobytes() and d_bias.tobytes() == want[2].tobytes()
 
 
 # ------------------------------------------------------- reuse and memory
