@@ -28,10 +28,11 @@ from .recmodel import (
     RecommenderParams,
     appended_scores,
     ce_last_row_grad,
+    encode_batch,
     forward_scores,
-    length_groups,
     position_weights,
     score_blocks,
+    softmax,
 )
 
 COSINE_NORM_FLOOR = 1e-12
@@ -92,8 +93,10 @@ class PolluteInfo:
 
 def _softmax_column(scores: np.ndarray, target):
     """recmodel.softmax(scores)[0][..., target], bit for bit, without
-    normalising the other columns or forming the log. `target` is one
-    column, or an int array of one column per row of 2-D scores."""
+    normalising the other columns or forming the log: the one softmax
+    written outside recmodel, for the target probabilities, which read
+    nothing else. `target` is one column, or an int array of one column per
+    row of 2-D scores."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     col = e[np.arange(e.shape[0]), target] if np.ndim(target) else e[..., target]
     return col / e.sum(axis=-1)
@@ -213,17 +216,6 @@ def _topk_rows_skip(scores: np.ndarray, k: int, skip: np.ndarray) -> np.ndarray:
     return top[keep].reshape(top.shape[0], n - 1)
 
 
-def _pooled(params: RecommenderParams, seqs) -> np.ndarray:
-    """encode(params, embed(params, x)) of every sequence x, zeros for an
-    empty one, as the rows of one (n, d) array: stacked matrix-vector
-    products, bit for bit."""
-    h = np.zeros((len(seqs), params.dim))
-    for rows, x in length_groups(seqs):
-        if x.shape[1]:
-            h[rows] = np.matmul(position_weights(params.gamma, x.shape[1]), params.emb[x])
-    return h
-
-
 @dataclass
 class _Slot:
     """One greedy step of some pairs: each row's cohort (ids ascending, padded
@@ -302,8 +294,7 @@ class _Lockstep:
             tb = t[block]
             # ce_last_row_grad without the last position's weight, which is
             # in [1/T, 1]: the probe reads only the gradient's sign
-            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs /= probs.sum(axis=-1, keepdims=True)
+            probs = softmax(scores, tb)[0]
             probs[np.arange(block.size), tb] -= 1.0
             gpos = np.matmul(probs[:, None, :], emb)[:, 0]
             probes[block] = emb[tb] - self.knobs.epsilon * np.sign(gpos)
@@ -343,7 +334,7 @@ class _Lockstep:
         is stacked over the rows."""
         probs = np.zeros(cand.shape)
         seqs = [zs[r] for r in rows.tolist()]
-        h = _pooled(self.s, seqs)
+        h = encode_batch(self.s, seqs)
         # the appended position's weight
         b = np.array([position_weights(self.s.gamma, len(z) + 1)[-1] for z in seqs])
         emb, v, t = self.s.emb, self.s.num_items, self.t[rows]

@@ -43,7 +43,7 @@ import logging
 import math
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -145,10 +145,12 @@ def report_bytes_without_timing(path) -> bytes:
 class _Context:
     """One config's stage products within one invocation. Each is built or
     read from cfg's files on first use, unless a stage of this invocation
-    stored it first."""
+    stored it first. `shared`, which copy.copy hands to every arm of a study,
+    holds the victim's test ranking and each untrained surrogate's agreement."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.shared: dict = {}
 
     def _artifact(self, name: str, hint: str) -> Path:
         path = Path(self.cfg.out_dir) / ARTIFACTS[name]
@@ -205,9 +207,9 @@ class _Context:
         top-K of a total order begins with its top-k; a narrower one, left
         by a config with a smaller eval.ks, is ranked again and stored."""
         k = max(self.cfg.eval_ks)
-        top = vars(self).get("test_ranking")
+        top = self.shared.get("victim_ranking")
         if top is None or top.shape[1] < k:
-            top = self.test_ranking = recommend_topk_batch(
+            top = self.shared["victim_ranking"] = recommend_topk_batch(
                 self.victim, [prefix for prefix, _ in self.split.test], k)
         return top[:, :k]
 
@@ -353,8 +355,11 @@ def _stage_distill(ctx: _Context) -> dict:
     victim, victim_top = ctx.victim, ctx.victim_ranking()
     prefixes = [prefix for prefix, _ in ctx.split.test]
     metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks, victim_top)
-    baseline = agreement_metrics(victim, init, prefixes, cfg.eval_ks, victim_top)
-    for key, val in baseline.items():
+    # init follows from the surrogate section: arms alike in it and eval.ks share its scores
+    untrained = ("untrained_agreement", astuple(cfg.surrogate), cfg.eval_ks)
+    if untrained not in ctx.shared:
+        ctx.shared[untrained] = agreement_metrics(victim, init, prefixes, cfg.eval_ks, victim_top)
+    for key, val in ctx.shared[untrained].items():
         metrics[f"untrained_{key}"] = val
     return metrics
 
@@ -524,12 +529,10 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str, name: str, row, lead=())
         ctx = copy.copy(shared)  # the shared products, under the arm's config
         ctx.cfg = arm_cfg
         rows.append(row(run_pipeline(arm_cfg, label, ctx)))
-        # the co-occurrence matrix, built by the first arm that attacks, and
-        # the victim's test ranking, widened by an arm with a larger eval.ks,
-        # serve the arms after it
-        for product in ("comatrix", "test_ranking"):
-            if product in vars(ctx):
-                setattr(shared, product, getattr(ctx, product))
+        # the co-occurrence matrix, built by the first arm that attacks,
+        # serves the arms after it
+        if "comatrix" in vars(ctx):
+            shared.comatrix = ctx.comatrix
     _write_csv(Path(cfg.out_dir) / f"{name}.csv", rows, lead)
     return rows
 

@@ -365,10 +365,7 @@ def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
         raise ValueError("target out of range")
     rows = embed(params, x)
     w = position_weights(params.gamma, rows.shape[0])
-    scores = score_all(params, w @ rows)
-    # softmax(scores)[0]: the same operations, without the log
-    probs = np.exp(scores - scores.max())
-    probs /= probs.sum()
+    probs = softmax(score_all(params, w @ rows))[0]
     probs[target] -= 1.0
     return w[-1] * (probs @ params.emb)
 
@@ -460,45 +457,47 @@ def recommend_topk(params: RecommenderParams, x, k: int) -> list[int]:
 SCORE_BLOCK = 1 << 15  # scores per block: 128 prefixes on a 256-item catalog
 
 
-def length_groups(prefixes):
-    """[(rows, X)]: per prefix length T, the rows of `prefixes` of that length
-    and their items as an (n, T) int64 array, lengths ascending.
-
-    `prefixes` is a list of sequences or a 2-D array of equal-length ones.
-    """
-    if isinstance(prefixes, np.ndarray) and prefixes.ndim == 2:
-        return [(np.arange(prefixes.shape[0]), prefixes.astype(np.int64, copy=False))]
-    prefixes = [list(x) for x in prefixes]
-    lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
-    groups = []
-    for t in np.unique(lengths):
-        rows = np.flatnonzero(lengths == t)
-        x = np.array([prefixes[r] for r in rows], dtype=np.int64).reshape(rows.size, t)
-        groups.append((rows, x))
-    return groups
-
-
-def score_blocks(params: RecommenderParams, prefixes):
-    """Yield (rows, scores): forward_scores of prefixes[rows], a block of about
-    SCORE_BLOCK scores at a time.
+def encode_batch(params: RecommenderParams, prefixes) -> np.ndarray:
+    """encode(params, embed(params, x)) of every prefix x, zeros for an
+    empty one, as the rows of one (n, d) array.
 
     `prefixes` is a list of sequences or a 2-D array of equal-length ones.
     Prefixes of one length T are pooled as matmul(position_weights(gamma, T),
-    E[X]) and scored as matmul(E, H[:, :, None]) + b. Both are stacked
-    matrix-vector products, so every row equals forward_scores bit for bit;
-    H @ E.T, one matrix product, differs in the last bits.
+    E[X]), a stack of vector-matrix products, so every row equals encode's
+    bit for bit. E[X] is gathered for SCORE_BLOCK // V prefixes at a time.
     """
+    grid = isinstance(prefixes, np.ndarray) and prefixes.ndim == 2
+    lengths = (np.full(len(prefixes), prefixes.shape[1]) if grid
+               else np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes)))
+    hidden = np.zeros((len(prefixes), params.dim))
     step = max(1, SCORE_BLOCK // params.num_items)
-    for rows, x in length_groups(prefixes):
-        if x.shape[1] == 0:
-            raise ValueError("sequence must be non-empty")
-        if x.size and (x.min() < 0 or x.max() >= params.num_items):
-            raise ValueError("item id out of range")
-        w = position_weights(params.gamma, x.shape[1])
+    for t in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == t)
         for b in range(0, rows.size, step):
-            hidden = np.matmul(w, params.emb[x[b : b + step]])
-            scores = np.matmul(params.emb, hidden[:, :, None])[..., 0] + params.bias
-            yield rows[b : b + step], scores
+            blk = rows[b : b + step]
+            x = np.asarray(prefixes[blk] if grid else [prefixes[r] for r in blk], dtype=np.int64)
+            if x.min() < 0 or x.max() >= params.num_items:
+                raise ValueError("item id out of range")
+            hidden[blk] = np.matmul(position_weights(params.gamma, t), params.emb[x])
+    return hidden
+
+
+def score_blocks(params: RecommenderParams, prefixes):
+    """Yield (rows, scores): forward_scores of prefixes[rows], SCORE_BLOCK // V
+    prefixes (at least one) at a time, in order, whatever their lengths.
+
+    `prefixes` is a list of non-empty sequences or a 2-D array of equal-length
+    ones, pooled by encode_batch and scored as matmul(E, H[:, :, None]) + b:
+    stacked matrix-vector products, so every row equals forward_scores bit
+    for bit; H @ E.T, one matrix product, differs in the last bits.
+    """
+    if not all(map(len, prefixes)):
+        raise ValueError("sequence must be non-empty")
+    hidden = encode_batch(params, prefixes)
+    n, step = hidden.shape[0], max(1, SCORE_BLOCK // params.num_items)
+    for b in range(0, n, step):
+        scores = np.matmul(params.emb, hidden[b : b + step, :, None])[..., 0] + params.bias
+        yield np.arange(b, min(b + step, n)), scores
 
 
 def recommend_topk_batch(params: RecommenderParams, prefixes, k: int) -> np.ndarray:

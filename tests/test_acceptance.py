@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import recattack as ra
+from recattack.attack import PollutionKnobs, attack_users
 from recattack.config import build_config
 from recattack.distill import (
     cognitive_distribution,
@@ -279,27 +280,26 @@ def workbench():
         targets = sorted(int(t) for t in rng.choice(wb.unpopular_pool, size=5, replace=False))
         vbb = ra.BlackBox(wb.victim, k=100, budget=None, log_queries=False)
         pre = post = rand = pl_d = pl_g = 0.0
-        n = 0
+        pairs = []
         for t in targets:
             for u in users:
                 x = wb.corpus.sequences[u]
                 total = max(len(x) + 1, math.ceil(1.1 * len(x)))
                 pair_seed = int(rng.integers(2**31))
                 pre += ra.validate(vbb, x, t, 10).hit
-                z, res, _, _ = ra.attack_user(
-                    surr, wb.comatrix, vbb, x,
-                    ra.AttackConfig(target=t, total_length=total), 10, refine=True,
-                )
-                post += res.hit
-                zg = ra.pollute(
-                    surr, wb.comatrix, x,
-                    ra.AttackConfig(target=t, total_length=total, w_g=1.0),
-                )
                 rz = ra.baseline_rand_alter(x, t, total, 200, seed=pair_seed)
                 rand += ra.validate(vbb, rz, t, 10).hit
-                pl_d += ra.plausibility_score(z, wb.comatrix)
-                pl_g += ra.plausibility_score(zg, wb.comatrix)
-                n += 1
+                pairs.append((x, t, total))
+        # each pair gets what attack_user (dual, refined) and pollute
+        # (gradient only) give it alone, bit for bit
+        dual = attack_users(surr, wb.comatrix, vbb, PollutionKnobs(), pairs, 10, refine=True)
+        grad = attack_users(surr, wb.comatrix, vbb, PollutionKnobs(w_g=1.0), pairs, 10,
+                            refine=False)
+        for (z, res, _, _), (zg, _, _, _) in zip(dual, grad):
+            post += res.hit
+            pl_d += ra.plausibility_score(z, wb.comatrix)
+            pl_g += ra.plausibility_score(zg, wb.comatrix)
+        n = len(pairs)
         wb.pre.append(pre / n)
         wb.post.append(post / n)
         wb.rand.append(rand / n)

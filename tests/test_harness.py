@@ -34,7 +34,8 @@ from recattack.harness import (
     run_pipeline,
 )
 from recattack.oracle import BlackBox
-from recattack.recmodel import RecommenderParams, load_params, recommend_topk, recommend_topk_batch
+from recattack.recmodel import (RecommenderParams, init_params, load_params, recommend_topk,
+                                recommend_topk_batch)
 from recattack.synthetic import (SyntheticSpec, _cdf, gen_synthetic_corpus, item_groups,
                                  item_weights)
 from recattack.synthgen import SamplerPolicy
@@ -743,9 +744,9 @@ def test_arms_on_shared_products_equal_file_resumed_arms_in_any_order(tmp_path, 
         assert _run_outputs(arm_dir) == want, sub
 
 
-def _victim_test_rankings(monkeypatch, out_dir):
+def _test_rankings(monkeypatch, out_dir):
     """A function giving the k of every ranking the harness makes, after
-    the patch, of the victim saved in out_dir over its test prefixes."""
+    the patch, of a model over the test prefixes of the corpus in out_dir."""
     calls = []
     real = harness.recommend_topk_batch
 
@@ -755,32 +756,39 @@ def _victim_test_rankings(monkeypatch, out_dir):
 
     monkeypatch.setattr(harness, "recommend_topk_batch", recording)
 
-    def test_rankings():
-        victim = load_params(out_dir / "victim.params")
+    def test_rankings(model):
         split = leave_one_out_split(load_corpus(out_dir / "corpus.txt"))
         test = [prefix for prefix, _ in split.test]
-        return [k for model, prefixes, k in calls
-                if model == victim.emb.tobytes() + victim.bias.tobytes() and prefixes == test]
+        return [k for params, prefixes, k in calls
+                if params == model.emb.tobytes() + model.bias.tobytes() and prefixes == test]
 
     return test_rankings
 
 
 def test_a_sweep_ranks_the_victims_test_prefixes_once(tmp_path, monkeypatch):
-    test_rankings = _victim_test_rankings(monkeypatch, tmp_path / "out")
-    run_alpha_sweep(tiny_config(tmp_path / "out"), [0.7, 0.9])
+    test_rankings = _test_rankings(monkeypatch, tmp_path / "out")
+    cfg = tiny_config(tmp_path / "out")
+    run_alpha_sweep(cfg, [0.7, 0.9])
+    victim = load_params(tmp_path / "out" / "victim.params")
     # the victim stage's test quality makes it; both arms' two agreements read it
-    assert test_rankings() == [5]
+    assert test_rankings(victim) == [5]
+    # both arms build the same untrained surrogate; the first arm's
+    # untrained agreement serves the second
+    s = cfg.surrogate
+    assert test_rankings(init_params(victim.num_items, s.dim, s.gamma, s.init_seed)) == [5]
 
 
 def test_an_arm_with_a_wider_eval_ks_gets_the_standalone_runs_distill_record(
         tmp_path, monkeypatch):
-    test_rankings = _victim_test_rankings(monkeypatch, tmp_path / "study")
+    test_rankings = _test_rankings(monkeypatch, tmp_path / "study")
+    # the seed arm's untrained surrogate is its own, so is its untrained agreement
     arms = [("same", "arm_same", {}), ("wide", "arm_wide", {"eval.ks": "1,5,20"}),
-            ("narrow", "arm_narrow", {"eval.ks": "3"}), ("wide2", "arm_wide2", {"eval.ks": "20"})]
+            ("narrow", "arm_narrow", {"eval.ks": "3"}), ("wide2", "arm_wide2", {"eval.ks": "20"}),
+            ("seed", "arm_seed", {"surrogate.init_seed": "5"})]
     _run_arms(tiny_config(tmp_path / "study"), arms, "distill,evaluate", "arms",
               lambda report: {"arm": report.arm})
-    # the wide arm ranks again at 20 and hands that on; the arms after it cut it
-    assert test_rankings() == [5, 20]
+    # the wide arm ranks again at 20 and stores that; the arms after it cut it
+    assert test_rankings(load_params(tmp_path / "study" / "victim.params")) == [5, 20]
     for label, sub, overrides in arms:
         alone = tmp_path / "alone" / label
         run_pipeline(tiny_config(alone, overrides))

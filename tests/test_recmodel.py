@@ -17,6 +17,7 @@ from recattack.recmodel import (
     ce_loss_and_grads,
     embed,
     encode,
+    encode_batch,
     forward_scores,
     init_params,
     load_params,
@@ -260,6 +261,12 @@ def test_pooled_rows_equal_encoder(gamma, prefixes):
     hidden = pooled @ p.emb
     for row, x in zip(hidden, prefixes):
         assert np.allclose(row, encode(p, embed(p, x)), rtol=0, atol=1e-12)
+    # the stacked pooling: bit for bit, and a zero row for an empty prefix
+    stacked = encode_batch(p, [[], *prefixes])
+    assert stacked.shape == (len(prefixes) + 1, p.dim)
+    assert np.array_equal(stacked[0], np.zeros(p.dim))
+    for row, x in zip(stacked[1:], prefixes):
+        assert np.array_equal(row, encode(p, embed(p, x)))
 
 
 @pytest.mark.parametrize("bad", [[-1], [10], [2, -3, 4], []])
@@ -397,6 +404,8 @@ def test_batch_ranking_spans_blocks_on_a_large_catalog():
     prefixes = [list(rng.integers(0, 3000, size=n)) for n in rng.integers(1, 4, size=45)]
     blocks = list(score_blocks(p, prefixes))
     assert len(blocks) > 3
+    # blocks run across prefix lengths, not one length at a time
+    assert any(len({len(prefixes[r]) for r in rows}) > 1 for rows, _ in blocks)
     for rows, scores in blocks:
         for r, row in zip(rows, scores):
             assert np.array_equal(row, forward_scores(p, prefixes[r]))
