@@ -38,7 +38,7 @@ from .recmodel import (
 COSINE_NORM_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class PollutionKnobs:
     """The pollution hyperparameters and their one check; w_g in [0, 1]
     weighs the gradient signal and 1 - w_g the collaborative one.
@@ -62,7 +62,7 @@ class PollutionKnobs:
             raise ValueError(f"unknown corel kind {self.corel_kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig(PollutionKnobs):
     """One pair's pollution: the knobs, its target and total length, and the
     seed a caller may keep beside them (nothing here reads it)."""
@@ -82,7 +82,7 @@ class ExposureResult:
     reciprocal_rank: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolluteInfo:
     """Per-run diagnostics for one pollution pass."""
 

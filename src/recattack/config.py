@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,7 +26,7 @@ from .synthgen import SamplerPolicy
 STAGES = ("corpus", "victim", "synthesize", "distill", "attack", "evaluate")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     # gamma well below the library default suits the first-order synthetic
     # process, where recency carries almost all of the signal
@@ -41,7 +41,7 @@ class ModelConfig:
             raise ValueError("gamma must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleConfig:
     k: int = 100
     budget: int | None = None  # None -> 20 * count * maxlen
@@ -70,7 +70,7 @@ class SynthesisConfig(SamplerPolicy):
             raise ValueError("maxlen must be >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackStageConfig(PollutionKnobs):
     """The attack stage's pollution knobs, with their own checks, and which
     pairs it attacks and how it validates them."""
@@ -98,17 +98,15 @@ class ExperimentConfig:
     stages: tuple[str, ...] = STAGES
     corpus_path: str = ""  # empty -> synthetic corpus
     corpus_format: str = "sequence_lines"
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+    synthetic: SyntheticSpec = SyntheticSpec()
     comatrix_window: int = 5
-    victim: ModelConfig = field(default_factory=ModelConfig)
-    victim_train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        learning_rate=0.01, epochs=25))
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    synth: SynthesisConfig = field(default_factory=SynthesisConfig)
-    surrogate: ModelConfig = field(default_factory=ModelConfig)
-    distill: DistillConfig = field(default_factory=lambda: DistillConfig(
-        train=TrainConfig(learning_rate=0.01, epochs=10)))
-    attack: AttackStageConfig = field(default_factory=AttackStageConfig)
+    victim: ModelConfig = ModelConfig()
+    victim_train: TrainConfig = TrainConfig(learning_rate=0.01, epochs=25)
+    oracle: OracleConfig = OracleConfig()
+    synth: SynthesisConfig = SynthesisConfig()
+    surrogate: ModelConfig = ModelConfig()
+    distill: DistillConfig = DistillConfig(train=TrainConfig(learning_rate=0.01, epochs=10))
+    attack: AttackStageConfig = AttackStageConfig()
     eval_ks: tuple[int, ...] = (1, 5, 10)
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ path at B = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .recmodel import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
     """Knobs for soft-target construction and surrogate training.
 
@@ -48,7 +48,7 @@ class DistillConfig:
     delta1: float = 0.1
     delta2: float = 0.5
     negatives_per_position: int = 1
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -200,10 +200,10 @@ def distill_loss(cfg: DistillConfig, scores, neg_scores, p_b):
 def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray:
     """Uniform negatives from the complement of each row's ranked items.
 
-    ranked_idx is (B, k) with distinct items per row; returns (B, m, k).
-    The ranked cells are cleared from one flat (B * V) mask by a single
-    index assignment; the m * k draws per row index that row's allowed
-    items, in ascending order, so no (B, V - k) complement table is made.
+    ranked_idx is (B, k), ids in [0, V), and a row repeating an item raises
+    ValueError; returns (B, m, k). Ranked cells are cleared from one flat
+    (B * V) mask by one index assignment; each row's m * k draws index its
+    allowed items in ascending order, so no (B, V - k) table is made.
     """
     b, k = ranked_idx.shape
     if v - k < 1:
@@ -211,6 +211,8 @@ def _sample_negatives(rng, ranked_idx: np.ndarray, v: int, m: int) -> np.ndarray
     rows = np.arange(b)[:, None]
     mask = np.ones(b * v, dtype=bool)  # the (B, V) allowed cells, flat
     mask[ranked_idx + rows * v] = False
+    if np.count_nonzero(mask) != b * (v - k):
+        raise ValueError("a ranking repeats an item")
     draws = rng.integers(0, v - k, size=(b, m * k))
     # row r's v - k allowed cells are entries r*(v-k) .. (r+1)*(v-k) - 1 of
     # the flat list of allowed cells, in ascending order
@@ -254,8 +256,8 @@ def distill_train(
 ) -> RecommenderParams:
     """Train a surrogate on (sequence, ranking) pairs by mini-batch descent.
 
-    Reads the set's prefixes and its (n, k) ranking array as they are; the
-    set itself has rejected negative ids and rankings of unequal length.
+    Reads the set's prefixes and (n, k) rankings as they are: the set has
+    rejected negative ids, and a ranking that repeats an item raises here.
     `init` fixes the surrogate architecture and starting point; with
     epochs=0 the returned parameters equal it. Negatives are resampled
     uniformly outside each pair's ranked list at every step. Deterministic

@@ -43,7 +43,7 @@ import logging
 import math
 import shutil
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +356,7 @@ def _stage_distill(ctx: _Context) -> dict:
     prefixes = [prefix for prefix, _ in ctx.split.test]
     metrics = agreement_metrics(victim, surrogate, prefixes, cfg.eval_ks, victim_top)
     # init follows from the surrogate section: arms alike in it and eval.ks share its scores
-    untrained = ("untrained_agreement", astuple(cfg.surrogate), cfg.eval_ks)
+    untrained = ("untrained_agreement", cfg.surrogate, cfg.eval_ks)
     if untrained not in ctx.shared:
         ctx.shared[untrained] = agreement_metrics(victim, init, prefixes, cfg.eval_ks, victim_top)
     for key, val in ctx.shared[untrained].items():
@@ -447,8 +447,7 @@ def run_pipeline(
     The report is built from every stage record in cfg.out_dir, whichever
     invocation wrote it; the evaluate stage writes it out.
     """
-    # the config is mutable: every section's check runs again on the values
-    # it holds now, so no stage runs on a field assigned a bad value
+    # only the top level is mutable: check it again before any stage runs
     _rebuild(cfg, (), {})
     if ctx is None:
         ctx = _Context(cfg)

@@ -104,7 +104,7 @@ class RecommenderParams:
         return self._derived[key]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
     weight_decay: float = 0.01

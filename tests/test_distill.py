@@ -494,6 +494,13 @@ def test_distill_train_rejects_ids_outside_vocabulary(prefix, ranked):
             distill_train(qs, DistillConfig(train=TrainConfig(epochs=epochs)), init_params(20, 4))
 
 
+def test_distill_train_rejects_a_ranking_that_repeats_an_item():
+    # the set builds in memory; load_queryset rejects the same record from a file
+    qs = QuerySet([(1, 2), (3,)], np.array([[0, 1, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="a ranking repeats an item"):
+        distill_train(qs, DistillConfig(train=TrainConfig(epochs=1)), init_params(10, 4))
+
+
 def test_distill_train_raises_on_non_finite_loss():
     qs = small_queryset()
     init = init_params(20, 4, seed=1)

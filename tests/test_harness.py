@@ -5,12 +5,13 @@ import re
 import shutil
 from bisect import bisect_right
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recattack.attack import PollutionKnobs, _exposure, validate
+from recattack.attack import AttackConfig, PollutionKnobs, _exposure, validate
 from recattack.config import (
     SCHEMA,
     STAGES,
@@ -21,6 +22,7 @@ from recattack.config import (
 )
 from recattack.corpus import (InteractionCorpus, build_comatrix, corel, leave_one_out_split,
                               load_corpus, save_corpus)
+from recattack.distill import DistillConfig
 from recattack.errors import ConfigError, StageError
 from recattack.evalkit import agreement_at_k, ndcg_at_k, recall_at_k
 from recattack.harness import (
@@ -34,8 +36,8 @@ from recattack.harness import (
     run_pipeline,
 )
 from recattack.oracle import BlackBox
-from recattack.recmodel import (RecommenderParams, init_params, load_params, recommend_topk,
-                                recommend_topk_batch)
+from recattack.recmodel import (RecommenderParams, TrainConfig, init_params, load_params,
+                                recommend_topk, recommend_topk_batch)
 from recattack.synthetic import (SyntheticSpec, _cdf, gen_synthetic_corpus, item_groups,
                                  item_weights)
 from recattack.synthgen import SamplerPolicy
@@ -335,15 +337,18 @@ def test_unknown_stage_is_rejected_by_the_config_itself(tmp_path):
     with pytest.raises(ValueError, match="unknown stage 'bogus'"):
         dataclasses.replace(ExperimentConfig(), stages=("bogus",))
     assert build_config({"stages": "all"}).stages == STAGES
-    # a field assigned after construction is checked again, with every
-    # section's own check, before any stage runs or writes anything
-    for name, (section, key, value), message in [
-        ("stage", (None, "stages", ("corpus", "bogus")), r"^unknown stage 'bogus'"),
-        ("window", (None, "comatrix_window", 0), r"^comatrix\.window must be >= 1"),
-        ("alpha", ("distill", "alpha", 1.0), r"^distill: alpha must be in"),
+    # a section is frozen, so a field of it cannot be assigned at all
+    cfg = tiny_config(tmp_path / "alpha")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.distill.alpha = 1.0
+    # a top-level field assigned after construction is checked again before
+    # any stage runs or writes anything
+    for name, key, value, message in [
+        ("stage", "stages", ("corpus", "bogus"), r"^unknown stage 'bogus'"),
+        ("window", "comatrix_window", 0, r"^comatrix\.window must be >= 1"),
     ]:
         cfg = tiny_config(tmp_path / name)
-        setattr(getattr(cfg, section) if section else cfg, key, value)
+        setattr(cfg, key, value)
         with pytest.raises(ConfigError, match=message):
             run_pipeline(cfg)
         assert not (tmp_path / name).exists()
@@ -439,6 +444,32 @@ def test_attack_and_synth_sections_are_the_engines_own_types():
         epsilon=0.3, n_candidates=2, neighbor_k=4, w_g=0.8, corel_kind="ppmi")
     assert np.array_equal(cfg.synth.position_weights(6),
                           SamplerPolicy("rank_temperature", tau=2.0).position_weights(6))
+
+
+def test_every_config_type_but_the_top_level_is_a_frozen_value():
+    def section_types(cls):
+        # the walk config._leaves makes, down every dataclass field type
+        for hint in get_type_hints(cls).values():
+            if dataclasses.is_dataclass(hint):
+                yield hint
+                yield from section_types(hint)
+
+    types = {*section_types(ExperimentConfig), PollutionKnobs, AttackConfig}
+    assert {SyntheticSpec, TrainConfig, DistillConfig} <= types
+    for cls in types:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+    assert not ExperimentConfig.__dataclass_params__.frozen
+    # a section of a built config refuses assignment; two built configs
+    # have equal sections, which hash
+    one, two = build_config({}), build_config({})
+    for f in dataclasses.fields(ExperimentConfig):
+        section = getattr(one, f.name)
+        if not dataclasses.is_dataclass(section):
+            continue
+        assert section == getattr(two, f.name) and hash(section) == hash(getattr(two, f.name))
+        name = dataclasses.fields(section)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(section, name, getattr(section, name))
 
 
 def test_config_file_overrides_flags(tmp_path):
