@@ -26,8 +26,8 @@ from .ranking import topk_ids, topk_rows
 from .recmodel import (
     SCORE_BLOCK,
     RecommenderParams,
-    appended_scores,
-    ce_last_row_grad,
+    embed,
+    encode,
     encode_batch,
     forward_scores,
     position_weights,
@@ -107,9 +107,19 @@ def target_probability(params: RecommenderParams, x, target: int) -> float:
     return float(_softmax_column(forward_scores(params, x), target))
 
 
+def _appended_scores(params: RecommenderParams, h, b, cands) -> np.ndarray:
+    """forward_scores(params, x + [c]) of each c in cands, (..., n, V), from
+    x's pooled state h and the appended position's weight b: the rank-1 step
+    (1 - b) * h + b * E[c], over any leading axes of h, b and cands."""
+    hidden = (1.0 - b) * h + b * params.emb[cands]
+    return np.matmul(hidden, params.emb.T) + params.bias
+
+
 def _appended_probabilities(params: RecommenderParams, x, cands, target: int) -> np.ndarray:
     """target_probability(params, x + [c], target) for every candidate c."""
-    return _softmax_column(appended_scores(params, x, cands), target)
+    h = encode(params, embed(params, x)) if len(x) else np.zeros(params.dim)
+    b = position_weights(params.gamma, len(x) + 1)[-1]
+    return _softmax_column(_appended_scores(params, h, b, cands), target)
 
 
 @dataclass(frozen=True)
@@ -141,11 +151,20 @@ def _cosine_table(params: RecommenderParams) -> _CosineTable:
     return params.derived("cosine_table", _CosineTable.of)
 
 
+def _probes(surrogate: RecommenderParams, scores, targets, epsilon: float) -> np.ndarray:
+    """Each row's target embedding stepped against the sign of the CE gradient
+    w.r.t. the last embedded row, from a block of forward_scores rows (which
+    it overwrites), without the last position's weight: in [1/T, 1], it
+    moves no sign."""
+    probs = softmax(scores, targets)[0]
+    probs[np.arange(scores.shape[0]), targets] -= 1.0
+    grads = np.matmul(probs[:, None, :], surrogate.emb)[:, 0]
+    return surrogate.emb[targets] - epsilon * np.sign(grads)
+
+
 def _probe(surrogate: RecommenderParams, z, target: int, epsilon: float) -> np.ndarray:
-    """The target's embedding stepped against the sign of the CE gradient
-    w.r.t. the last embedded row of z."""
-    gpos = ce_last_row_grad(surrogate, z, target)
-    return surrogate.emb[target] - epsilon * np.sign(gpos)
+    """The probe of one sequence z, which ends with the target placeholder."""
+    return _probes(surrogate, forward_scores(surrogate, z)[None], [target], epsilon)[0]
 
 
 def grad_alignment(
@@ -240,8 +259,10 @@ class _Lockstep:
     computation bit for bit. retry replays one pair at another fusion weight
     over the first pass's records.
 
-    Probe scores come a block of about SCORE_BLOCK at a time, candidate
-    scores n_candidates times that; the rows' cosines form one (rows, V) array."""
+    The probe and candidate-score kernels take a block of rows here and one
+    row in step_one. Probe scores come a block of about SCORE_BLOCK at a
+    time, candidate scores n_candidates times that; the rows' cosines form
+    one (rows, V) array."""
 
     def __init__(self, surrogate: RecommenderParams, m: CoMatrix, knobs: PollutionKnobs, pairs):
         self.s, self.knobs = surrogate, knobs
@@ -287,17 +308,11 @@ class _Lockstep:
     def _cosines(self, rows: np.ndarray, zs) -> np.ndarray:
         """grad_alignment(surrogate, zs[r] + [t_r], t_r, epsilon) of every
         row r, as the rows of one (len(rows), V) array."""
-        emb, t, table = self.s.emb, self.t[rows], self.table
+        t, table = self.t[rows], self.table
         seqs = [zs[r] + [t_r] for r, t_r in zip(rows.tolist(), t.tolist())]
         probes = np.empty((rows.size, self.s.dim))
         for block, scores in score_blocks(self.s, seqs):
-            tb = t[block]
-            # ce_last_row_grad without the last position's weight, which is
-            # in [1/T, 1]: the probe reads only the gradient's sign
-            probs = softmax(scores, tb)[0]
-            probs[np.arange(block.size), tb] -= 1.0
-            gpos = np.matmul(probs[:, None, :], emb)[:, 0]
-            probes[block] = emb[tb] - self.knobs.epsilon * np.sign(gpos)
+            probes[block] = _probes(self.s, scores, t[block], self.knobs.epsilon)
         # _CosineTable.cosines, a row per probe; np.linalg.norm is sqrt(dot)
         pnorm = np.sqrt(np.matmul(probes[:, None, :], probes[:, :, None])[:, 0, 0])
         sims = np.zeros((rows.size, table.ok.size))
@@ -330,35 +345,35 @@ class _Lockstep:
 
     def candidate_probabilities(self, rows, zs, cand, count) -> np.ndarray:
         """target_probability(zs[r] + [c], t_r) of each row's first count[r]
-        candidates: _appended_probabilities, whose (count, V) score matrix
-        is stacked over the rows."""
+        candidates: _appended_probabilities over a block of rows at once."""
         probs = np.zeros(cand.shape)
         seqs = [zs[r] for r in rows.tolist()]
         h = encode_batch(self.s, seqs)
         # the appended position's weight
         b = np.array([position_weights(self.s.gamma, len(z) + 1)[-1] for z in seqs])
-        emb, v, t = self.s.emb, self.s.num_items, self.t[rows]
+        v, t = self.s.num_items, self.t[rows]
         for c in set(count.tolist()):
             sel = np.flatnonzero(count == c)
             step = max(1, SCORE_BLOCK // (c * v))
             for lo in range(0, sel.size, step):
                 blk = sel[lo : lo + step]
-                hidden = ((1.0 - b[blk])[:, None] * h[blk])[:, None, :] + b[blk, None, None] * emb[cand[blk, :c]]
-                scores = (np.matmul(hidden, emb.T) + self.s.bias).reshape(-1, v)
+                scores = _appended_scores(self.s, h[blk, None], b[blk, None, None],
+                                          cand[blk, :c]).reshape(-1, v)
                 probs[blk, :c] = _softmax_column(scores, np.repeat(t[blk], c)).reshape(-1, c)
         return probs
 
     def step_one(self, r: int, z: list[int], w_g: float, old: _Slot | None) -> _Slot:
-        """The greedy step of pair r on prefix z through the one-pair kernels
-        (_probe, _cohort, _minmax, _appended_probabilities); old is the first
-        pass's slot of the step while z is still the first pass's prefix.
-        Its cohort is reused, and the stored probabilities too when the
-        shortlist holds only candidates old tried; otherwise the shortlist is
-        scored whole, as a fresh pass scores it.
+        """The greedy step of pair r on prefix z: _probe and
+        _appended_probabilities, with the one-row forms of the cosines,
+        cohort and min-max; old is the first pass's slot of the step while z
+        is still the first pass's prefix. Its cohort is reused, and the
+        stored probabilities too when the shortlist holds only candidates
+        old tried; otherwise the shortlist is scored whole, as a fresh pass
+        scores it.
 
         A step of one pair costs less this way than through the stacked
-        kernels: sending the one-pair steps of the pollute benchmark through
-        them took its run_s from 0.40-0.45 s to 0.70-0.77 s."""
+        forms: they took the pollute benchmark's run_s from 0.40-0.45 s to
+        0.70-0.77 s, and the stacked cosines alone cost twice the one-row."""
         knobs, t, i = self.knobs, int(self.t[r]), int(self.inv[r])
         if old is None:
             sims = self.table.cosines(_probe(self.s, z + [t], t, knobs.epsilon))

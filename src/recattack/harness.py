@@ -146,7 +146,8 @@ class _Context:
     """One config's stage products within one invocation. Each is built or
     read from cfg's files on first use, unless a stage of this invocation
     stored it first. `shared`, which copy.copy hands to every arm of a study,
-    holds the victim's test ranking and each untrained surrogate's agreement."""
+    holds the victim's test ranking, each untrained surrogate's agreement
+    and each window's co-occurrence matrix."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -179,9 +180,12 @@ class _Context:
     def split(self):
         return leave_one_out_split(self.corpus)
 
-    @functools.cached_property
+    @property
     def comatrix(self) -> CoMatrix:
-        return build_comatrix(self.corpus, self.cfg.comatrix_window)
+        key = ("comatrix", self.cfg.comatrix_window)
+        if key not in self.shared:
+            self.shared[key] = build_comatrix(self.corpus, self.cfg.comatrix_window)
+        return self.shared[key]
 
     @functools.cached_property
     def victim(self):
@@ -528,10 +532,6 @@ def _run_arms(cfg: ExperimentConfig, arms, stages: str, name: str, row, lead=())
         ctx = copy.copy(shared)  # the shared products, under the arm's config
         ctx.cfg = arm_cfg
         rows.append(row(run_pipeline(arm_cfg, label, ctx)))
-        # the co-occurrence matrix, built by the first arm that attacks,
-        # serves the arms after it
-        if "comatrix" in vars(ctx):
-            shared.comatrix = ctx.comatrix
     _write_csv(Path(cfg.out_dir) / f"{name}.csv", rows, lead)
     return rows
 

@@ -182,20 +182,6 @@ def forward_scores(params: RecommenderParams, x) -> np.ndarray:
     return score_all(params, encode(params, embed(params, x)))
 
 
-def appended_scores(params: RecommenderParams, x, items) -> np.ndarray:
-    """forward_scores(params, x + [c]) for every c in items, as the rows of
-    one (n, V) matrix.
-
-    Appending c moves the pooled state by one rank-1 step: the new position
-    takes the weight b = position_weights(gamma, T + 1)[-1], and the earlier
-    weights, hence the state of x, shrink by 1 - b.
-    """
-    b = position_weights(params.gamma, len(x) + 1)[-1]
-    h = encode(params, embed(params, x)) if len(x) else np.zeros(params.dim)
-    hidden = (1.0 - b) * h + b * params.emb[np.asarray(items, dtype=np.int64)]
-    return hidden @ params.emb.T + params.bias
-
-
 def _ragged(seqs):
     """(items, starts, lengths) of sequences concatenated back to back."""
     lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
@@ -357,17 +343,6 @@ def ce_loss_and_grads(params: RecommenderParams, x, target: int):
     )
     gpos = position_weights(params.gamma, len(x))[-1] * d_hidden[0]
     return loss, d_emb, d_bias, gpos
-
-
-def ce_last_row_grad(params: RecommenderParams, x, target: int) -> np.ndarray:
-    """The gpos of ce_loss_and_grads alone, without the V x d table gradient."""
-    if not (0 <= target < params.num_items):
-        raise ValueError("target out of range")
-    rows = embed(params, x)
-    w = position_weights(params.gamma, rows.shape[0])
-    probs = softmax(score_all(params, w @ rows))[0]
-    probs[target] -= 1.0
-    return w[-1] * (probs @ params.emb)
 
 
 def adam_step(value, grad, m, v, step, cfg: TrainConfig, tmp) -> None:

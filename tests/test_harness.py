@@ -827,6 +827,21 @@ def test_an_arm_with_a_wider_eval_ks_gets_the_standalone_runs_distill_record(
         assert got == (alone / "stage_distill.json").read_bytes(), label
 
 
+def test_an_arm_with_another_window_attacks_with_its_own_comatrix(tmp_path):
+    # the second arm must not reuse the co-occurrence matrix the first built
+    arms = [("w5", "arm_w5", {}), ("w1", "arm_w1", {"comatrix.window": "1"})]
+    stages = "distill,attack,evaluate"
+    _run_arms(tiny_config(tmp_path / "study"), arms, stages, "arms",
+              lambda report: {"arm": report.arm})
+    for label, sub, overrides in arms:
+        alone = tmp_path / "alone" / label
+        alone.mkdir(parents=True)
+        for name in harness._SHARED_FILES:
+            shutil.copyfile(tmp_path / "study" / name, alone / name)
+        run_pipeline(tiny_config(alone, {**overrides, "stages": stages}), label)
+        assert _run_outputs(tmp_path / "study" / sub) == _run_outputs(alone), label
+
+
 # ------------------------------------------------------------------------- CLI
 
 
