@@ -8,6 +8,7 @@ counts into Jaccard or positive-PMI relatedness scores.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -125,10 +126,10 @@ def _parse_event_line(line: str, lineno: int):
         raise CorpusFormatError(
             f"line {lineno}: expected 2-4 whitespace-separated fields, got {len(fields)}"
         )
-    try:
-        return user, item, float(ts)
-    except ValueError:
-        raise CorpusFormatError(f"line {lineno}: bad timestamp {ts!r}") from None
+    with contextlib.suppress(ValueError):
+        if math.isfinite(stamp := float(ts)):  # a NaN would stall its user's sort
+            return user, item, stamp
+    raise CorpusFormatError(f"line {lineno}: bad timestamp {ts!r}")
 
 
 def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
@@ -157,22 +158,17 @@ def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
             users.append(str(len(raw_seqs)))
             raw_seqs.append(line.split())
     else:
-        events: dict[str, list] = {}
-        order: list[str] = []
+        events: dict[str, list] = {}  # users in order of first appearance
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             user, item, ts = _parse_event_line(line, lineno)
-            if user not in events:
-                events[user] = []
-                order.append(user)
-            bucket = events[user]
+            bucket = events.setdefault(user, [])
             # stable sort key: timestamp when given, arrival slot otherwise
             bucket.append((ts if ts is not None else float(len(bucket)), len(bucket), item))
-        for user in order:
-            bucket = sorted(events[user])
+        for user, bucket in events.items():
             users.append(user)
-            raw_seqs.append([item for _, _, item in bucket])
+            raw_seqs.append([item for _, _, item in sorted(bucket)])
 
     kept = [(u, s) for u, s in zip(users, raw_seqs) if len(s) >= MIN_SEQUENCE_LEN]
     if not kept:

@@ -1,8 +1,8 @@
 """Budgeted black-box front for a frozen recommender.
 
 Consumers see only ordered top-k item ids, never scores or parameters. Every
-query is counted against the budget; a black box built with log_queries=True
-also keeps the (sequence, ranking) pairs, which drain_log returns.
+query is charged to the budget and, with log_queries=True, logged in
+query_batch, which query calls with its one prefix; drain_log returns the log.
 
 A QuerySet keeps its rankings as one (n, k) int64 array from the oracle to
 the surrogate: query_batch returns them that way, synthesis writes them into
@@ -12,12 +12,13 @@ one, save_queryset gathers their text from it, and distill_train reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .recmodel import RecommenderParams, recommend_topk, recommend_topk_batch
+from .recmodel import RecommenderParams, recommend_topk_batch
 
 
 class BudgetExhausted(RuntimeError):
@@ -29,10 +30,10 @@ class QuerySet:
     """Ordered (sequence, ranked top-k) records collected from a black box.
 
     Record i is the prefix prefixes[i] (a tuple of item ids) and the ranking
-    ranked[i], a row of one read-only (n, k) int64 array. A negative id, a
-    repeat within a ranking, a row count other than len(prefixes), a ranked
-    that is not 2-D or k = 0 in a non-empty set raise ValueError here,
-    where the set is built: a set saved by save_queryset must load again.
+    ranked[i], a row of one read-only (n, k) int64 array. An id below 0 or
+    past int64, a repeat within a ranking, a row count other than len(prefixes),
+    a ranked that is not 2-D or k = 0 in a non-empty set raise ValueError
+    here, where the set is built: a set saved by save_queryset must load again.
     """
 
     prefixes: list[tuple[int, ...]]
@@ -40,15 +41,19 @@ class QuerySet:
     truncated: bool = False
 
     def __post_init__(self):
-        ranked = np.asarray(self.ranked, dtype=np.int64).view()
+        try:
+            ranked = np.asarray(self.ranked, dtype=np.int64).view()
+            ids = np.fromiter(chain.from_iterable(self.prefixes), dtype=np.int64,
+                              count=sum(map(len, self.prefixes)))
+        except OverflowError:
+            raise ValueError("item id outside int64 in query set") from None
         if ranked.ndim != 2:
             raise ValueError("rankings must form one (n, k) array")
         if ranked.shape[0] != len(self.prefixes):
             raise ValueError(f"{ranked.shape[0]} rankings for {len(self.prefixes)} prefixes")
         if ranked.shape[0] and not ranked.shape[1]:
             raise ValueError("empty rankings in a non-empty query set")
-        negative = min(map(min, filter(None, self.prefixes)), default=0) < 0
-        if negative or (ranked.size and ranked.min() < 0):
+        if ids.min(initial=0) < 0 or ranked.min(initial=0) < 0:
             raise ValueError("negative item id in query set")
         for start in range(0, ranked.shape[0], 1024):  # 0.8 MB sorted at k = 100
             block = np.sort(ranked[start : start + 1024], axis=1)
@@ -65,12 +70,7 @@ class QuerySet:
         rankings = [r for _, r in pairs]
         if len(set(map(len, rankings))) > 1:
             raise ValueError("all rankings in a query set must share one length")
-        k = len(rankings[0]) if rankings else 0
-        try:
-            ranked = np.array(rankings, dtype=np.int64).reshape(len(rankings), k)
-        except OverflowError:
-            raise ValueError("item id outside int64 in query set") from None
-        return cls(prefixes, ranked, truncated)
+        return cls(prefixes, rankings or np.empty((0, 0), dtype=np.int64), truncated)
 
     @property
     def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -133,7 +133,7 @@ def save_queryset(qs: QuerySet, path) -> None:
 
 
 def load_queryset(path) -> QuerySet:
-    pairs = []
+    pairs, linenos = [], []
     truncated = False
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -154,12 +154,17 @@ def load_queryset(path) -> QuerySet:
         if len(set(ranked)) < len(ranked):  # a top-k response lists an item once
             again = next(i for n, i in enumerate(ranked) if i in ranked[:n])
             raise ValueError(f"{path}: ranking repeats item {again} on line {lineno}")
-        if not pairs:
-            first = lineno
-        elif len(ranked) != len(pairs[0][1]):
-            raise ValueError(f"{path}: ranking length differs from line {first} on line {lineno}")
+        if pairs and len(ranked) != len(pairs[0][1]):
+            raise ValueError(
+                f"{path}: ranking length differs from line {linenos[0]} on line {lineno}"
+            )
         pairs.append((prefix, ranked))
-    return QuerySet.from_pairs(pairs, truncated)
+        linenos.append(lineno)
+    try:
+        return QuerySet.from_pairs(pairs, truncated)
+    except ValueError:  # of the set's checks, the lines above skip only int64's range
+        lineno = next(n for n, (p, r) in zip(linenos, pairs) if max(p + r) >= 2**63)
+        raise ValueError(f"{path}: item id outside int64 on line {lineno}") from None
 
 
 class BlackBox:
@@ -209,17 +214,12 @@ class BlackBox:
             )
 
     def query(self, x) -> tuple[int, ...]:
-        """Top-k ranking for sequence x; raises BudgetExhausted past the budget."""
-        self._check_budget(1)
-        ranked = tuple(recommend_topk(self._victim, x, self.k))
-        self._used += 1
-        if self.log_queries:
-            self._log.append((tuple(int(i) for i in x), ranked))
-        return ranked
+        """Top-k ranking for sequence x, ranked, charged and logged as query_batch([x])."""
+        return tuple(self.query_batch([x])[0].tolist())
 
     def query_batch(self, prefixes) -> np.ndarray:
-        """query(x) of every prefix as the rows of one (n, k) int64 array,
-        one charge per row, in one ranking call.
+        """The top-k ranking of every prefix as the rows of one (n, k) int64
+        array, one charge per row, in one ranking call.
 
         `prefixes` is a list of sequences or a 2-D array of equal-length ones.
         When the rows exceed the remaining budget, BudgetExhausted is raised

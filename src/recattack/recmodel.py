@@ -507,6 +507,8 @@ def load_params(path) -> RecommenderParams:
             v, d, gamma = int(v_str), int(d_str), float(g_str)
         except ValueError:
             raise ValueError(f"{path}: malformed parameter header") from None
+        if v < 1 or d < 1 or not 0.0 < gamma <= 1.0:
+            raise ValueError(f"{path}: header {v} {d} {gamma!r} needs V, d >= 1, 0 < gamma <= 1")
         payload = fh.read()
     need = (v * d + v) * 8
     if len(payload) != need:

@@ -105,6 +105,15 @@ def test_load_malformed_line_reports_lineno(tmp_path):
         load_corpus(f, "tsv_triples")
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_load_nonfinite_timestamp_reports_lineno(tmp_path, stamp):
+    # a NaN stamp sorted in place would leave this user's items in file order
+    f = tmp_path / "bad.tsv"
+    f.write_text(f"u1 a 5\nu1 b {stamp}\nu1 c 3\nu1 d 4\n")
+    with pytest.raises(CorpusFormatError, match=f"^line 2: bad timestamp '{stamp}'$"):
+        load_corpus(f, "tsv_triples")
+
+
 def test_save_load_roundtrip(tmp_path):
     c = make_corpus([[0, 1, 2, 3], [2, 0, 1]])
     save_corpus(c, tmp_path / "c.txt")

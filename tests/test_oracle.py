@@ -72,6 +72,15 @@ def test_query_batch_charges_per_row_and_matches_query():
     assert bb.used == 5
 
 
+def test_query_past_budget_charges_nothing():
+    bb = BlackBox(victim(), k=3, budget=2, log_queries=True)
+    bb.query_batch([[0], [1]])
+    with pytest.raises(BudgetExhausted, match=r"^query budget of 2 is spent: 0 left, 1 asked$"):
+        bb.query([2])
+    assert bb.used == 2 and bb.remaining == 0
+    assert [p for p, _ in bb.drain_log().pairs] == [(0,), (1,)]
+
+
 def test_query_batch_past_budget_charges_nothing():
     bb = BlackBox(victim(), k=3, budget=4, log_queries=True)
     bb.query([0])
@@ -98,7 +107,9 @@ def test_query_batch_rows_equal_query(v, seed, prefixes, data):
     batched, single = BlackBox(vic, k=k), BlackBox(vic, k=k)
     got = batched.query_batch(prefixes)
     assert got.dtype == np.int64 and got.shape == (len(prefixes), k)
-    assert [tuple(r) for r in got.tolist()] == [single.query(x) for x in prefixes]
+    rows = [tuple(r) for r in got.tolist()]
+    assert rows == [single.query(x) for x in prefixes]
+    assert rows == [tuple(recommend_topk(vic, x, k)) for x in prefixes]
     assert batched.used == single.used == len(prefixes)
 
 
@@ -167,11 +178,12 @@ def test_queryset_holds_one_read_only_ranking_array():
     lambda: QuerySet([(1,)], np.zeros(3, dtype=np.int64)),
     lambda: QuerySet([(1,)], np.zeros((1, 3, 1), dtype=np.int64)),
     lambda: QuerySet.from_pairs([((1,), (2**63, 0))]),
+    lambda: QuerySet([(2**64,), (1,)], np.array([[0, 1], [1, 2]])),
     lambda: QuerySet.from_pairs([((1,), ())]),
     lambda: QuerySet([(1,), ()], np.zeros((2, 0), dtype=np.int64)),
 ], ids=["negative_prefix_id", "negative_ranked_id", "negative_id_in_array", "ragged_shorter",
         "ragged_longer", "fewer_rows", "more_rows", "one_dimensional", "three_dimensional",
-        "id_past_int64", "empty_rankings", "empty_rankings_in_array"])
+        "id_past_int64", "prefix_id_past_int64", "empty_rankings", "empty_rankings_in_array"])
 def test_queryset_rejects_bad_records_where_built(build):
     with pytest.raises(ValueError):
         build()
@@ -229,8 +241,10 @@ def test_save_queryset_writes_the_plain_join_bytes(tmp_path_factory, digits, k, 
     ("# truncated\n1\t0 1\n\n2\t0 1\n3\t0 1 2\n", "ranking length differs from line 2 on line 5"),
     ("1 2\t0 1 1\n3\t0 1 2\n", "ranking repeats item 1 on line 1"),
     ("1 2\t0 1 2\n3\t4 0 3 0\n", "ranking repeats item 0 on line 2"),
+    ("99999999999999999999\t0 1 2\n", "item id outside int64 on line 1"),
+    ("1 2\t0 1 2\n\n3\t0 9223372036854775808 2\n", "item id outside int64 on line 3"),
 ], ids=["negative_id", "empty_ranking", "length_differs", "length_differs_after_header",
-        "repeated_id", "repeated_id_later"])
+        "repeated_id", "repeated_id_later", "prefix_id_past_int64", "ranked_id_past_int64"])
 def test_load_queryset_rejects_malformed_record(tmp_path, text, message):
     path = tmp_path / "q.tsv"
     path.write_text(text)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from recattack.corpus import InteractionCorpus, leave_one_out_split
 from recattack.recmodel import (
+    PARAMS_MAGIC,
     PrefixPool,
     RecommenderParams,
     TrainConfig,
@@ -435,6 +437,17 @@ def test_params_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.params"
     path.write_bytes(b"not a params file\n1 2 3\n")
     with pytest.raises(ValueError, match="not a recognized"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("header", ["3 0 0.5", "0 4 0.5", "3 2 1.5", "3 2 nan", "3 2 0"])
+def test_params_load_rejects_bad_header(tmp_path, header):
+    # each payload is the size the header asks for, so only the header is wrong
+    v, d = map(int, header.split()[:2])
+    path = tmp_path / "bad.params"
+    path.write_bytes(PARAMS_MAGIC + f"{header}\n".encode() + bytes((v * d + v) * 8))
+    message = f"^{re.escape(str(path))}: header .* needs V, d >= 1, 0 < gamma <= 1$"
+    with pytest.raises(ValueError, match=message):
         load_params(path)
 
 
