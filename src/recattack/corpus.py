@@ -1,7 +1,7 @@
 """Interaction corpora: ingestion, leave-one-out splits, and item co-occurrence.
 
-Items are re-indexed to dense contiguous ids 0..V-1 in order of first
-appearance. Co-occurrence is counted over unordered item pairs that appear
+Items are re-indexed to dense contiguous ids 0..V-1 in sorted token order.
+Co-occurrence is counted over unordered item pairs that appear
 within a positional window inside the same sequence; `corel` turns the raw
 counts into Jaccard or positive-PMI relatedness scores.
 """
@@ -138,7 +138,8 @@ def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
     Formats:
       * ``tsv_triples``: one event per line, ``user item [rating] [timestamp]``
         (whitespace separated); per-user events are sorted ascending by
-        timestamp when present, otherwise kept in file order.
+        timestamp when present, otherwise kept in file order; a user whose
+        events mix the two forms is a CorpusFormatError.
       * ``sequence_lines``: one whitespace-separated item sequence per line;
         the line index becomes the user label.
 
@@ -164,8 +165,10 @@ def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
                 continue
             user, item, ts = _parse_event_line(line, lineno)
             bucket = events.setdefault(user, [])
-            # stable sort key: timestamp when given, arrival slot otherwise
-            bucket.append((ts if ts is not None else float(len(bucket)), len(bucket), item))
+            if bucket and (bucket[0][0] is None) != (ts is None):  # the forms share no order
+                raise CorpusFormatError(f"line {lineno}: user {user} mixes events with and "
+                                        "without a timestamp")
+            bucket.append((ts, len(bucket), item))  # equal stamps, or none, sort by slot
         for user, bucket in events.items():
             users.append(user)
             raw_seqs.append([item for _, _, item in sorted(bucket)])
@@ -176,11 +179,11 @@ def load_corpus(path, fmt: str = "sequence_lines") -> InteractionCorpus:
             f"no sequence of length >= {MIN_SEQUENCE_LEN} in {path}"
         )
 
-    # dense re-index in sorted token order (numeric when every token parses);
-    # a corpus saved with dense integer ids reloads with identical ids
+    # dense re-index in sorted token order: numeric, with ties such as 1 and 01
+    # in text order, when every token parses; dense integer ids reload as they are
     tokens = {tok for _, seq in kept for tok in seq}
     try:
-        labels = tuple(sorted(tokens, key=int))
+        labels = tuple(sorted(tokens, key=lambda tok: (int(tok), tok)))
     except ValueError:
         labels = tuple(sorted(tokens))
     index = {tok: i for i, tok in enumerate(labels)}

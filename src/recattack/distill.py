@@ -254,7 +254,7 @@ def distill_train(
 ) -> RecommenderParams:
     """Train a surrogate on (sequence, ranking) pairs by mini-batch descent.
 
-    Reads the set's prefixes and (n, k) rankings as they are: the set has
+    Reads the set's prefix layout and (n, k) rankings as they are: the set has
     rejected negative ids and rankings that repeat an item.
     `init` fixes the surrogate architecture and starting point; with
     epochs=0 the returned parameters equal it. Negatives are resampled
@@ -267,7 +267,7 @@ def distill_train(
     p_b = cognitive_distribution(queries.ranked.shape[1], cfg.alpha, cfg.tau_b)
     if queries.ranked.max() >= v:
         raise ValueError("ranked item id outside surrogate vocabulary")
-    pool = PrefixPool.of(queries.prefixes, v, init.gamma)
+    pool = PrefixPool(*queries.prefix_layout, v, init.gamma)
     # int32 halves the largest array of the stage
     ranked = queries.ranked.astype(np.int32)
 

@@ -195,8 +195,7 @@ class _Context:
     def queries(self):
         path = self._artifact("queries", "run the synthesize stage first")
         queries, v = load_queryset(path), self.corpus.num_items  # the file does not declare V
-        top = int(max(queries.ranked.max(initial=-1),
-                      max(map(max, filter(None, queries.prefixes)), default=-1)))
+        top = int(max(queries.ranked.max(initial=-1), queries.prefix_layout[0].max(initial=-1)))
         if top >= v:
             raise ValueError(f"{path}: item id {top} is outside the corpus's {v} items")
         return queries

@@ -11,14 +11,13 @@ one, save_queryset gathers their text from it, and distill_train reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .recmodel import RecommenderParams, recommend_topk_batch
+from .recmodel import RecommenderParams, _ragged, recommend_topk_batch
 
 
 class BudgetExhausted(RuntimeError):
@@ -30,37 +29,42 @@ class QuerySet:
     """Ordered (sequence, ranked top-k) records collected from a black box.
 
     Record i is the prefix prefixes[i] (a tuple of item ids) and the ranking
-    ranked[i], a row of one read-only (n, k) int64 array. An id below 0 or
-    past int64, a repeat within a ranking, a row count other than len(prefixes),
-    a ranked that is not 2-D or k = 0 in a non-empty set raise ValueError
-    here, where the set is built: a set saved by save_queryset must load again.
+    ranked[i], a row of one read-only (n, k) int64 array; prefix_layout holds
+    the prefixes as PrefixPool's read-only (items, starts, lengths). Every
+    record is checked here, so a saved set loads again: an id below 0 or past
+    int64, k = 0 in a non-empty set, a repeat within a ranking, a row count
+    other than len(prefixes) or a ranked that is not 2-D raise ValueError.
     """
 
     prefixes: list[tuple[int, ...]]
     ranked: np.ndarray
     truncated: bool = False
+    prefix_layout: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
             ranked = np.asarray(self.ranked, dtype=np.int64).view()
-            ids = np.fromiter(chain.from_iterable(self.prefixes), dtype=np.int64,
-                              count=sum(map(len, self.prefixes)))
+            layout = _ragged(self.prefixes)
         except OverflowError:
-            raise ValueError("item id outside int64 in query set") from None
+            raise ValueError("item id outside int64") from None
         if ranked.ndim != 2:
             raise ValueError("rankings must form one (n, k) array")
         if ranked.shape[0] != len(self.prefixes):
             raise ValueError(f"{ranked.shape[0]} rankings for {len(self.prefixes)} prefixes")
+        if layout[0].min(initial=0) < 0 or ranked.min(initial=0) < 0:
+            raise ValueError("negative item id")
         if ranked.shape[0] and not ranked.shape[1]:
-            raise ValueError("empty rankings in a non-empty query set")
-        if ids.min(initial=0) < 0 or ranked.min(initial=0) < 0:
-            raise ValueError("negative item id in query set")
+            raise ValueError("empty ranking")
         for start in range(0, ranked.shape[0], 1024):  # 0.8 MB sorted at k = 100
-            block = np.sort(ranked[start : start + 1024], axis=1)
-            if (block[:, 1:] == block[:, :-1]).any():
-                raise ValueError("a ranking repeats an item")
-        ranked.flags.writeable = False
+            rows = ranked[start : start + 1024]
+            block = np.sort(rows, axis=1)
+            if (block[:, 1:] == block[:, :-1]).any():  # name the first repeat, in row order
+                again = next(i for r in rows.tolist() for n, i in enumerate(r) if i in r[:n])
+                raise ValueError(f"ranking repeats item {again}")
+        for array in (ranked, *layout):
+            array.flags.writeable = False
         object.__setattr__(self, "ranked", ranked)
+        object.__setattr__(self, "prefix_layout", layout)
 
     @classmethod
     def from_pairs(cls, pairs, truncated: bool = False) -> "QuerySet":
@@ -133,38 +137,37 @@ def save_queryset(qs: QuerySet, path) -> None:
 
 
 def load_queryset(path) -> QuerySet:
+    """The set save_queryset wrote; a bad record raises ValueError naming its line."""
     pairs, linenos = [], []
     truncated = False
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
+        if not line.strip() and "\t" not in line:  # a lone tab is a record with no ids
             continue
         if line.startswith("#"):
             truncated = truncated or "truncated" in line
             continue
         try:
             left, right = line.split("\t")
-            prefix = tuple(map(int, left.split()))
-            ranked = tuple(map(int, right.split()))
+            pairs.append((tuple(map(int, left.split())), tuple(map(int, right.split()))))
         except ValueError:
             raise ValueError(f"{path}: malformed query record on line {lineno}") from None
-        if min(prefix, default=0) < 0 or min(ranked, default=0) < 0:
-            raise ValueError(f"{path}: negative item id on line {lineno}")
-        if not ranked:
-            raise ValueError(f"{path}: empty ranking on line {lineno}")
-        if len(set(ranked)) < len(ranked):  # a top-k response lists an item once
-            again = next(i for n, i in enumerate(ranked) if i in ranked[:n])
-            raise ValueError(f"{path}: ranking repeats item {again} on line {lineno}")
-        if pairs and len(ranked) != len(pairs[0][1]):
-            raise ValueError(
-                f"{path}: ranking length differs from line {linenos[0]} on line {lineno}"
-            )
-        pairs.append((prefix, ranked))
         linenos.append(lineno)
     try:
         return QuerySet.from_pairs(pairs, truncated)
-    except ValueError:  # of the set's checks, the lines above skip only int64's range
-        lineno = next(n for n, (p, r) in zip(linenos, pairs) if max(p + r) >= 2**63)
-        raise ValueError(f"{path}: item id outside int64 on line {lineno}") from None
+    except ValueError:
+        raise ValueError(f"{path}: {_first_fault(pairs, linenos)}") from None
+
+
+def _first_fault(pairs, linenos) -> str:
+    """'{message} on line N' of the first record that a set of its own rejects
+    or whose ranking length differs from the first's; a rejected file has one."""
+    for pair, lineno in zip(pairs, linenos):
+        try:
+            QuerySet.from_pairs([pair])
+        except ValueError as err:
+            return f"{err} on line {lineno}"
+        if len(pair[1]) != len(pairs[0][1]):
+            return f"ranking length differs from line {linenos[0]} on line {lineno}"
 
 
 class BlackBox:
@@ -205,14 +208,6 @@ class BlackBox:
     def remaining(self) -> int | None:
         return None if self.budget is None else self.budget - self._spent - self._used
 
-    def _check_budget(self, n: int) -> None:
-        """Raise BudgetExhausted, before anything is ranked or charged, when
-        n more queries would pass the budget."""
-        if self.budget is not None and n > self.remaining:
-            raise BudgetExhausted(
-                f"query budget of {self.budget} is spent: {self.remaining} left, {n} asked"
-            )
-
     def query(self, x) -> tuple[int, ...]:
         """Top-k ranking for sequence x, ranked, charged and logged as query_batch([x])."""
         return tuple(self.query_batch([x])[0].tolist())
@@ -226,7 +221,10 @@ class BlackBox:
         and nothing is charged.
         """
         n = len(prefixes)
-        self._check_budget(n)
+        if self.budget is not None and n > self.remaining:
+            raise BudgetExhausted(
+                f"query budget of {self.budget} is spent: {self.remaining} left, {n} asked"
+            )
         top = recommend_topk_batch(self._victim, prefixes, self.k)
         self._used += n
         if self.log_queries:

@@ -65,7 +65,7 @@ def test_load_sequence_lines(tmp_path):
     c = load_corpus(f, "sequence_lines")
     assert c.num_items == 4
     assert len(c) == 3
-    # dense re-index by first appearance: 1->0 2->1 3->2 4->3
+    # dense re-index in numeric token order: 1->0 2->1 3->2 4->3
     assert c.sequences[0] == (0, 1, 2)
     assert c.sequences[2] == (0, 3, 1)
 
@@ -103,6 +103,40 @@ def test_load_malformed_line_reports_lineno(tmp_path):
     f.write_text("u1 a 1 10\nu1 b 1 oops\n")
     with pytest.raises(CorpusFormatError, match="line 2"):
         load_corpus(f, "tsv_triples")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("u a 100\nu b 200\nv x\nu c\nu d 300\n", 4),
+    ("u a\nv x 5\nu b\nu c 7\n", 4),
+])
+def test_load_triples_mixing_timed_and_untimed_events_reports_lineno(tmp_path, text, lineno):
+    # an untimed event has no place among timed ones: its arrival slot used
+    # to sort as a timestamp, so "u c" loaded before "u a 100"
+    f = tmp_path / "mixed.tsv"
+    f.write_text(text)
+    with pytest.raises(CorpusFormatError,
+                       match=f"^line {lineno}: user u mixes events with and without a timestamp$"):
+        load_corpus(f, "tsv_triples")
+    # users whose events are all timed, or all untimed, load as before
+    f.write_text("u a 100\nu b 200\nu c 50\nv x\nv z\nv y\n")
+    c = load_corpus(f, "tsv_triples")
+    assert [[c.item_labels[i] for i in s] for s in c.sequences] == [["c", "a", "b"], ["x", "z", "y"]]
+
+
+def test_load_ids_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # 1 and 01 parse to one integer; their order must not follow the set's
+    f = tmp_path / "seqs.txt"
+    f.write_text("1 2 3\n01 2 3\n")
+    src = str(Path(recattack.__file__).parents[1])
+    code = ("import sys; from recattack.corpus import load_corpus; "
+            "print(*load_corpus(sys.argv[1]).item_labels)")
+    labels = {
+        subprocess.run([sys.executable, "-c", code, str(f)],
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                       check=True, capture_output=True, text=True).stdout
+        for seed in ("1", "5")
+    }
+    assert labels == {"01 1 2 3\n"}
 
 
 @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])

@@ -497,7 +497,7 @@ def test_distill_train_rejects_ids_outside_vocabulary(prefix, ranked):
 def test_distill_train_rejects_a_ranking_that_repeats_an_item():
     # the set rejects it where it is built, so no fit, of any epoch count,
     # sees it; load_queryset rejects the same record from a file
-    with pytest.raises(ValueError, match="a ranking repeats an item"):
+    with pytest.raises(ValueError, match="^ranking repeats item 1$"):
         QuerySet([(1, 2), (3,)], np.array([[0, 1, 1], [0, 1, 2]]))
 
 

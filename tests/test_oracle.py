@@ -161,32 +161,49 @@ def test_queryset_holds_one_read_only_ranking_array():
     assert qs.ranked.dtype == np.int64 and qs.ranked.shape == (3, 2)
     assert not qs.ranked.flags.writeable
     assert qs.prefixes == [(1, 2), (), (7,)]
+    # the prefixes back to back, the layout distillation pools from
+    items, starts, lengths = qs.prefix_layout
+    assert (items.tolist(), starts.tolist(), lengths.tolist()) == ([1, 2, 7], [0, 2, 2], [2, 0, 1])
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in qs.prefix_layout)
     assert qs.pairs == [((1, 2), (3, 4)), ((), (5, 6)), ((7,), (8, 9))]
     assert qs.pairs is not qs.pairs  # built anew on every access
     empty = QuerySet.from_pairs([])
     assert len(empty) == 0 and empty.ranked.shape == (0, 0) and not empty.truncated
 
 
-@pytest.mark.parametrize("build", [
-    lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((0, -4), (4, 0))]),
-    lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((3,), (-4, 0))]),
-    lambda: QuerySet([(3,)], np.array([[0, -(2**40)]])),
-    lambda: QuerySet.from_pairs([((1,), (0, 1)), ((2,), (0,))]),
-    lambda: QuerySet.from_pairs([((1,), (0,)), ((2,), (0, 1))]),
-    lambda: QuerySet([(1,), (2,)], np.zeros((1, 3), dtype=np.int64)),
-    lambda: QuerySet([(1,)], np.zeros((2, 3), dtype=np.int64)),
-    lambda: QuerySet([(1,)], np.zeros(3, dtype=np.int64)),
-    lambda: QuerySet([(1,)], np.zeros((1, 3, 1), dtype=np.int64)),
-    lambda: QuerySet.from_pairs([((1,), (2**63, 0))]),
-    lambda: QuerySet([(2**64,), (1,)], np.array([[0, 1], [1, 2]])),
-    lambda: QuerySet.from_pairs([((1,), ())]),
-    lambda: QuerySet([(1,), ()], np.zeros((2, 0), dtype=np.int64)),
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((0, -4), (4, 0))]), "negative item id"),
+    (lambda: QuerySet.from_pairs([((1, 2), (0, 1)), ((3,), (-4, 0))]), "negative item id"),
+    (lambda: QuerySet([(3,)], np.array([[0, -(2**40)]])), "negative item id"),
+    (lambda: QuerySet.from_pairs([((1,), (0, 1)), ((2,), (0,))]), "share one length"),
+    (lambda: QuerySet.from_pairs([((1,), (0,)), ((2,), (0, 1))]), "share one length"),
+    (lambda: QuerySet([(1,), (2,)], np.zeros((1, 3), dtype=np.int64)), "1 rankings for 2"),
+    (lambda: QuerySet([(1,)], np.zeros((2, 3), dtype=np.int64)), "2 rankings for 1"),
+    (lambda: QuerySet([(1,)], np.zeros(3, dtype=np.int64)), r"one \(n, k\) array"),
+    (lambda: QuerySet([(1,)], np.zeros((1, 3, 1), dtype=np.int64)), r"one \(n, k\) array"),
+    (lambda: QuerySet.from_pairs([((1,), (2**63, 0))]), "^item id outside int64$"),
+    (lambda: QuerySet([(2**64,), (1,)], np.array([[0, 1], [1, 2]])), "^item id outside int64$"),
+    (lambda: QuerySet.from_pairs([((1,), ())]), "^empty ranking$"),
+    (lambda: QuerySet([(1,), ()], np.zeros((2, 0), dtype=np.int64)), "^empty ranking$"),
 ], ids=["negative_prefix_id", "negative_ranked_id", "negative_id_in_array", "ragged_shorter",
         "ragged_longer", "fewer_rows", "more_rows", "one_dimensional", "three_dimensional",
         "id_past_int64", "prefix_id_past_int64", "empty_rankings", "empty_rankings_in_array"])
-def test_queryset_rejects_bad_records_where_built(build):
-    with pytest.raises(ValueError):
+def test_queryset_rejects_bad_records_where_built(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_queryset_names_the_first_repeated_item_in_row_order():
+    # rows 0 and 1 are clean; row 2's first repeat is 3, though 1 comes
+    # first and repeats later; row 3 repeats 0
+    ranked = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 3, 1], [0, 0, 1, 2]])
+    with pytest.raises(ValueError, match="^ranking repeats item 3$"):
+        QuerySet([()] * 4, ranked)
+    # a repeat past the first sort block of 1024 rows is found and named too
+    ranked = np.tile(np.arange(4), (1500, 1))
+    ranked[1300] = [5, 6, 7, 6]
+    with pytest.raises(ValueError, match="^ranking repeats item 6$"):
+        QuerySet([()] * 1500, ranked)
 
 
 def test_id_table_is_used_only_while_no_larger_than_the_rankings():
@@ -250,3 +267,67 @@ def test_load_queryset_rejects_malformed_record(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_queryset(path)
+
+
+def _inject_fault(data, fault, prefix, ranked, first_lineno):
+    """Rewrite one record of a good set with one fault; (prefix, ranked, message)."""
+    if fault == "negative_id":
+        side = prefix if prefix and data.draw(st.booleans()) else ranked
+        side[data.draw(st.integers(0, len(side) - 1))] = data.draw(st.integers(-(2**63), -1))
+        return prefix, ranked, "negative item id"
+    if fault == "past_int64":
+        side = prefix if prefix and data.draw(st.booleans()) else ranked
+        side[data.draw(st.integers(0, len(side) - 1))] = data.draw(st.integers(2**63, 2**70))
+        return prefix, ranked, "item id outside int64"
+    if fault == "empty_ranking":
+        return prefix, [], "empty ranking"
+    if fault == "repeated_id":
+        later = data.draw(st.integers(1, len(ranked) - 1))
+        again = ranked[data.draw(st.integers(0, later - 1))]
+        ranked[later] = again
+        return prefix, ranked, f"ranking repeats item {again}"
+    if fault == "not_an_int":
+        side = prefix if prefix and data.draw(st.booleans()) else ranked
+        side[data.draw(st.integers(0, len(side) - 1))] = data.draw(st.sampled_from(["x", "1.5", "0x1"]))
+        return prefix, ranked, "malformed query record"
+    # another ranking length: one item more, or one fewer while one stays
+    if len(ranked) > 1 and data.draw(st.booleans()):
+        ranked = ranked[:-1]
+    else:
+        ranked = ranked + [max(ranked) + 1]
+    return prefix, ranked, f"ranking length differs from line {first_lineno}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    truncated=st.booleans(),
+    data=st.data(),
+)
+def test_load_queryset_names_the_line_of_a_bad_record(tmp_path_factory, k, truncated, data):
+    ids = st.integers(0, 40)
+    pairs = data.draw(st.lists(
+        st.tuples(st.lists(ids, max_size=4), st.lists(ids, min_size=k, max_size=k, unique=True)),
+        min_size=1, max_size=6,
+    ))
+    path = tmp_path_factory.mktemp("q") / "q.tsv"
+    save_queryset(QuerySet.from_pairs(pairs, truncated), path)
+    # blank lines between records must not shift the line a message names
+    lines, linenos = [], []
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            lines += [""] * data.draw(st.integers(0, 2))
+            linenos.append(len(lines) + 1)
+        lines.append(line)
+    bad = data.draw(st.integers(0, len(pairs) - 1))
+    faults = ["negative_id", "past_int64", "empty_ranking", "not_an_int"]
+    faults += ["repeated_id"] if k > 1 else []
+    faults += ["length_differs"] if bad > 0 else []
+    prefix, ranked, message = _inject_fault(
+        data, data.draw(st.sampled_from(faults)), *map(list, pairs[bad]), linenos[0]
+    )
+    lines[linenos[bad] - 1] = " ".join(map(str, prefix)) + "\t" + " ".join(map(str, ranked))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        load_queryset(path)
+    assert str(raised.value) == f"{path}: {message} on line {linenos[bad]}"
